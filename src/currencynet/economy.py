@@ -5,6 +5,10 @@ balance), with Cobb-Douglas preferences. The competitive equilibrium of
 this economy yields prices over whole currencies; the price ratios are the
 marginal rates of substitution (MRS) between currencies, and dividing the
 MRS by the coin-volume ratio gives per-coin exchange rates.
+
+The equilibrium prices are the stationary vector of the column-stochastic
+M = W^T E (weights W, endowment fractions E), found by one linear solve;
+they are determinate exactly when M is irreducible.
 """
 from __future__ import annotations
 
@@ -18,7 +22,6 @@ from .errors import (
     EmptyCurrencyError,
     InfeasibleAllocationError,
     InvalidRatesError,
-    NoConvergenceError,
     NonPositivePriceError,
     ZeroCoinsError,
 )
@@ -119,8 +122,7 @@ class PreferenceProfile:
 class EquilibriumResult:
     prices: np.ndarray       # normalized to sum 1
     allocation: np.ndarray   # n x k diluted holdings at equilibrium
-    iterations: int
-    residual: float
+    residual: float          # max |M p - p|
 
 
 def diluted_balances(network: CurrencyNetwork):
@@ -141,26 +143,30 @@ def diluted_balances(network: CurrencyNetwork):
     return agents, matrix / counts
 
 
-def solve_equilibrium(
-    endowment: np.ndarray,
-    weights: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 5000,
-    start: Optional[np.ndarray] = None,
-) -> EquilibriumResult:
+def strongly_connected(links: np.ndarray) -> bool:
+    """Whether the directed graph with boolean adjacency ``links`` is strongly connected."""
+    # (I + A)^(k-1) has no zero entry exactly when every node reaches every other
+    k = links.shape[0]
+    return bool(np.linalg.matrix_power(links | np.eye(k, dtype=bool), k - 1).all())
+
+
+def solve_equilibrium(endowment: np.ndarray, weights: np.ndarray) -> EquilibriumResult:
     """Competitive equilibrium of the Cobb-Douglas diluted-portfolio economy.
 
     ``endowment`` is the n x k matrix of currency fractions (columns sum to
-    one), ``weights`` the matching Cobb-Douglas weight matrix. Prices are the
-    fixed point of p_i <- sum_v weights[v, i] * wealth_v(p) with wealth_v =
-    endowment[v] . p, iterated until the max price change drops below tol.
-    The allocation is each agent's demand at those prices.
+    one), ``weights`` the matching Cobb-Douglas weight matrix. Market
+    clearing, p_i = sum_v weights[v, i] * (endowment[v] . p), reads p = M p
+    with the column-stochastic M = weights.T @ endowment, so the prices are
+    one solve of (M - I) p = 0 with a row replaced by sum(p) = 1. They are
+    unique and positive exactly when the graph of M > 0 is strongly
+    connected; otherwise DegenerateEconomyError is raised. The allocation
+    is each agent's demand at those prices.
     """
     endowment = np.asarray(endowment, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if endowment.shape != weights.shape:
         raise ValueError("endowment and weights must have matching shapes")
-    n, k = endowment.shape
+    k = endowment.shape[1]
     column_sums = endowment.sum(axis=0)
     if np.any(np.abs(column_sums - 1.0) > 1e-6):
         raise ValueError(f"endowment columns must sum to 1, got {column_sums}")
@@ -168,30 +174,16 @@ def solve_equilibrium(
         dead = [i + 1 for i in range(k) if weights[:, i].sum() <= 0.0]
         raise DegenerateEconomyError(f"currencies valued by no agent: {dead}")
 
-    if start is not None and len(start) == k and np.all(np.asarray(start) > 0):
-        prices = np.asarray(start, dtype=float)
-        prices = prices / prices.sum()
-    else:
-        prices = np.full(k, 1.0 / k)
-
-    iterations = 0
-    residual = np.inf
-    for iterations in range(1, max_iter + 1):
-        wealth = endowment @ prices
-        updated = weights.T @ wealth
-        total = updated.sum()
-        if total <= 0.0:
-            raise DegenerateEconomyError("economy has no aggregate wealth")
-        updated = updated / total
-        residual = float(np.max(np.abs(updated - prices)))
-        prices = updated
-        if residual < tol:
-            break
-    else:
-        raise NoConvergenceError(
-            f"equilibrium iteration did not converge in {max_iter} steps "
-            f"(residual {residual:.3e})"
-        )
+    market = weights.T @ endowment
+    if not strongly_connected(market > 0.0):
+        raise DegenerateEconomyError("prices are indeterminate: the economy is reducible")
+    # the diagonal of M - I is minus each column's off-diagonal mass, which
+    # equals M_ii - 1 for a column-stochastic M but avoids its cancellation
+    system = market - np.diag(np.diag(market))
+    system -= np.diag(system.sum(axis=0))
+    system[-1] = 1.0
+    prices = np.linalg.solve(system, np.eye(k)[-1])
+    residual = float(np.max(np.abs(market @ prices - prices)))
 
     if np.any(prices <= 1e-12):
         dead = [i + 1 for i in range(k) if prices[i] <= 1e-12]
@@ -200,7 +192,7 @@ def solve_equilibrium(
         )
     wealth = endowment @ prices
     allocation = weights * wealth[:, None] / prices[None, :]
-    return EquilibriumResult(prices, allocation, iterations, residual)
+    return EquilibriumResult(prices, allocation, residual)
 
 
 def mrs_matrix(prices: Sequence[float]) -> np.ndarray:

@@ -29,6 +29,7 @@ from .economy import (
     largest_remainder_targets,
     mrs_matrix,
     solve_equilibrium,
+    strongly_connected,
 )
 from .errors import ConfigError, CurrencyNetError
 from .justice import (
@@ -464,8 +465,14 @@ def validate_config(config: ScenarioConfig) -> list:
                 err("rates", "exogenous mode needs an mrs12 schedule or an mrs_matrix")
         elif k >= 2 and rates.mrs_matrix is None:
             err("rates", "exogenous mode with k != 2 needs a full mrs_matrix")
-        if rates.mrs12 is not None and rates.mrs12.limit <= 0:
-            err("rates", "substitution schedule limit must be positive")
+        schedule = rates.mrs12
+        if schedule is not None:
+            # a table lists its values; a constant schedule keeps start = tau = 1
+            values = [v for _, v in schedule.points] or [
+                schedule.value, schedule.start, schedule.tau
+            ]
+            if min(values) <= 0:
+                err("rates", "substitution schedule values, start and tau must be positive")
         if rates.mrs_matrix is not None:
             matrix = np.array(rates.mrs_matrix)
             if matrix.shape != (k, k):
@@ -475,9 +482,11 @@ def validate_config(config: ScenarioConfig) -> list:
                     coin_exchange_rates(matrix, [1] * k)
                 except CurrencyNetError as exc:
                     err("rates", f"invalid mrs_matrix: {exc}")
-    else:
-        if rates.tol <= 0 or rates.max_iter < 1:
-            err("rates", "endogenous solver needs tol > 0 and max_iter >= 1")
+    elif (rates.tol, rates.max_iter) != (RatesConfig.tol, RatesConfig.max_iter):
+        info(
+            "solver",
+            "the equilibrium is solved exactly; rates.tol and rates.max_iter are ignored",
+        )
 
     needs_prefs = rates.mode == "endogenous" or config.regime == "joint_egocentric"
     eventual = _eventual_members(config)
@@ -522,6 +531,14 @@ def validate_config(config: ScenarioConfig) -> list:
                         "degenerate_economy",
                         f"currency {i} carries zero weight from every initial member",
                     )
+            # two currencies are linked when some agent is a member of both
+            ids = range(1, k + 1)
+            shared = [[bool(initial_members[i] & initial_members[j]) for j in ids] for i in ids]
+            if rates.mode == "endogenous" and not strongly_connected(np.array(shared)):
+                err(
+                    "degenerate_economy",
+                    "prices are indeterminate: no initial member links some currencies",
+                )
 
     for cc in config.communities:
         if sum(cc.initial_coins.values()) == 0:
@@ -541,7 +558,7 @@ def validate_config(config: ScenarioConfig) -> list:
         limit = rates.mrs12.limit
         v1 = eventual.get(1, set())
         v2 = eventual.get(2, set())
-        if v1 and v2:
+        if v1 and v2 and limit > 0:
             if convergence_condition(v1, v2, limit):
                 if v1 & v2:
                     x = predicted_mint_fraction(v1, v2, limit)
@@ -575,8 +592,8 @@ class RatesEvent:
 @dataclass(frozen=True)
 class SolverEvent:
     t: int
-    iterations: int
-    residual: float
+    iterations: int       # always 1: the equilibrium is one linear solve
+    residual: float       # max |M p - p|
     prices: tuple
 
 
@@ -778,7 +795,6 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         return cached
 
     rates = ExchangeRateMatrix.ones(k)
-    prices_warm: Optional[np.ndarray] = None
     rates_timeline = [rates]
     rates_log: list = []
     solver_log: list = []
@@ -946,34 +962,22 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                 weight_rows = weights_at(t)
                 weight_matrix = np.array([weight_rows[a] for a in agents])
                 try:
-                    solution = solve_equilibrium(
-                        endowment,
-                        weight_matrix,
-                        tol=config.rates.tol,
-                        max_iter=config.rates.max_iter,
-                        start=prices_warm,
-                    )
+                    solution = solve_equilibrium(endowment, weight_matrix)
                 except CurrencyNetError as exc:
                     raise type(exc)(f"step {t}: {exc}") from None
-                prices_warm = solution.prices
                 mrs = mrs_matrix(solution.prices)
-                solver_log.append(
-                    SolverEvent(
-                        t,
-                        solution.iterations,
-                        solution.residual,
-                        tuple(float(p) for p in solution.prices),
-                    )
-                )
+                prices = tuple(float(p) for p in solution.prices)
+                solver_log.append(SolverEvent(t, 1, solution.residual, prices))
             else:
                 mrs = exogenous_mrs(t)
+                prices = None
             rates = coin_exchange_rates(mrs, counts_now)
             rates_log.append(
                 RatesEvent(
                     t,
                     tuple(tuple(float(x) for x in row) for row in mrs),
                     tuple(tuple(float(x) for x in row) for row in rates.ex),
-                    prices=tuple(float(p) for p in solution.prices) if endogenous else None,
+                    prices=prices,
                 )
             )
             if config.settlement and endogenous:

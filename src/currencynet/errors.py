@@ -51,12 +51,8 @@ class InvalidRatesError(CurrencyNetError):
     """Exchange rate matrix violates fungibility, arbitrage-freeness or reciprocity."""
 
 
-class NoConvergenceError(CurrencyNetError):
-    """Equilibrium iteration exhausted its iteration budget."""
-
-
 class DegenerateEconomyError(CurrencyNetError):
-    """Some currency is valued by no agent with positive wealth."""
+    """Equilibrium prices are indeterminate or zero for some currency."""
 
 
 class InfeasibleAllocationError(CurrencyNetError):

@@ -76,7 +76,7 @@ def pair_convergence_endogenous(seed: int = 7, steps: int = 20_000) -> ScenarioC
         steps=steps,
         seed=seed,
         regime="joint_myopic",
-        rates=RatesConfig(mode="endogenous", tol=1e-12, max_iter=5000),
+        rates=RatesConfig(mode="endogenous"),
         k_eq=1,
         preferences={
             "a": {1: 1.0},

@@ -125,10 +125,13 @@ def test_run_missing_file(tmp_path):
 
 
 def test_run_solver_failure_exits_with_runtime_code(tmp_path, capsys):
+    # the overlap agents value only currency 1, so nobody who values currency 2
+    # holds any other currency: the check passes, the first solve finds no price
     config = scenarios.pair_convergence_endogenous(steps=50)
     data = config.to_dict()
-    data["rates"] = {"mode": "endogenous", "tol": 1e-15, "max_iter": 1}
-    path = tmp_path / "stubborn.json"
+    data["preferences"]["b"] = {"1": 1.0}
+    data["preferences"]["c"] = {"1": 1.0}
+    path = tmp_path / "one_sided.json"
     path.write_text(json.dumps(data))
     out = tmp_path / "out"
     code = cli.main(["run", "--scenario", str(path), "--out", str(out), "--quiet"])

@@ -21,7 +21,6 @@ from currencynet.errors import (
     EmptyCurrencyError,
     InfeasibleAllocationError,
     InvalidRatesError,
-    NoConvergenceError,
     NonPositivePriceError,
     ZeroCoinsError,
 )
@@ -123,11 +122,20 @@ class TestSolveEquilibrium:
         with pytest.raises(DegenerateEconomyError):
             solve_equilibrium(endowment, weights)
 
-    def test_no_convergence_raises(self):
+    def test_reducible_economy_rejected(self):
+        # each agent holds and values only its own currency: prices are indeterminate
         endowment = np.eye(2)
-        weights = np.array([[0.9, 0.1], [0.2, 0.8]])
-        with pytest.raises(NoConvergenceError):
-            solve_equilibrium(endowment, weights, tol=1e-15, max_iter=1)
+        weights = np.eye(2)
+        with pytest.raises(DegenerateEconomyError):
+            solve_equilibrium(endowment, weights)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6])
+    def test_weakly_coupled_economy_solved_exactly(self, eps):
+        # p1 = (1 - eps) p1 + 2 eps p2 gives p1 = 2 p2, so p1 = 2/3
+        endowment = np.eye(2)
+        weights = np.array([[1.0 - eps, eps], [2.0 * eps, 1.0 - 2.0 * eps]])
+        result = solve_equilibrium(endowment, weights)
+        assert abs(result.prices[0] - 2.0 / 3.0) < 1e-12
 
     def test_bad_column_sums_rejected(self):
         endowment = np.array([[0.7, 0.1], [0.7, 0.9]])

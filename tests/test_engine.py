@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -316,6 +317,40 @@ class TestValidateConfig:
         )
         diags = validate_config(config)
         assert any(d.code == "degenerate_economy" for d in diags)
+
+    def test_disjoint_endogenous_economy_rejected(self):
+        # no agent belongs to both communities, so the prices are indeterminate
+        config = replace(
+            scenarios.disjoint_pair_control(steps=10), rates=RatesConfig(mode="endogenous")
+        )
+        diags = validate_config(config)
+        assert [d.code for d in diags if d.level == "error"] == ["degenerate_economy"]
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            MrsSchedule(kind="exp_approach", value=1.5, start=1.0, tau=0.0),
+            MrsSchedule(kind="exp_approach", value=1.5, start=0.0, tau=30.0),
+            MrsSchedule(kind="table", points=((1, 1.0), (10, 0.0), (20, 1.5))),
+            MrsSchedule(kind="table", points=((1, -1.0), (20, 1.5))),
+            MrsSchedule(kind="constant", value=0.0),
+        ],
+    )
+    def test_nonpositive_schedule_rejected(self, schedule):
+        config = tiny_pair(rates=RatesConfig(mode="exogenous", mrs12=schedule))
+        diags = validate_config(config)
+        assert [d.code for d in diags if d.level == "error"] == ["rates"]
+
+    def test_ignored_solver_knobs_noted(self):
+        assert not any(
+            d.code == "solver" for d in validate_config(scenarios.pair_convergence_endogenous())
+        )
+        config = replace(
+            scenarios.pair_convergence_endogenous(),
+            rates=RatesConfig(mode="endogenous", tol=1e-15, max_iter=1),
+        )
+        diags = validate_config(config)
+        assert [d.level for d in diags if d.code == "solver"] == ["info"]
 
     def test_weight_on_unjoined_currency_rejected(self):
         config = tiny_pair(
