@@ -175,12 +175,13 @@ class History:
         last = self._steps[-1]
         if step.t != last.t + 1:
             raise BadIndexError(f"expected step {last.t + 1}, got {step.t}")
-        for i, who in last.members.items():
-            now = step.members.get(i)
-            if now is None or (now is not who and not who <= now):
-                raise MonotonicityViolationError(
-                    f"community {i} lost members at step {step.t}"
-                )
+        if step.members is not last.members:
+            for i, who in last.members.items():
+                now = step.members.get(i)
+                if now is None or (now is not who and not who <= now):
+                    raise MonotonicityViolationError(
+                        f"community {i} lost members at step {step.t}"
+                    )
         for i, count in last.coin_counts.items():
             if step.coin_counts.get(i, 0) < count:
                 raise MonotonicityViolationError(

@@ -1,3 +1,4 @@
+import gc
 import math
 from dataclasses import replace
 
@@ -181,6 +182,33 @@ class TestEngineAccounting:
         report = check_accounting_identity(result.history)
         assert report.ok, report.violations[:3]
         assert all(step.network is not None for step in result.history.steps)
+
+    def test_membership_record_changes_only_at_joins(self):
+        # single_community_dilution has joins at steps 10, 20 and 30
+        steps = run_scenario(scenarios.single_community_dilution(steps=40)).history.steps
+        changed = [
+            t for t in range(2, len(steps))
+            if steps[t].members is not steps[t - 1].members
+        ]
+        assert changed == [10, 20, 30]
+        assert len(steps[30].members[1]) == 10
+
+    def test_collector_state_restored_after_run(self):
+        assert gc.isenabled()
+        run_scenario(tiny_pair(steps=5))
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            run_scenario(tiny_pair(steps=5))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_collector_restored_when_run_fails(self):
+        config = tiny_pair(steps=5, rates=RatesConfig(mode="exogenous"))
+        with pytest.raises(ConfigError):
+            run_scenario(config)
+        assert gc.isenabled()
 
     def test_final_snapshot_always_retained(self):
         result = run_scenario(tiny_pair(steps=25))
