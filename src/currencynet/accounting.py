@@ -263,8 +263,31 @@ class History:
             )
         return step.expenses.get((v, i), 0)
 
+    def cashflow_steps(self):
+        """Yield ``(step, cashflow)`` for t = 0..T in one running pass.
+
+        ``cashflow`` maps every (agent, currency) of ``agents × currencies``
+        to its revenue minus expenses over steps 1..t. It is one dict,
+        updated in place as the pass advances: read it before asking for the
+        next step, and copy it to keep it.
+        """
+        cashflow = dict.fromkeys(
+            [(a, i) for a in self.agents for i in self._currencies], 0
+        )
+        steps = iter(self._steps)
+        yield next(steps), cashflow
+        for step in steps:
+            for key, amount in step.revenue.items():
+                cashflow[key] += amount
+            for key, amount in step.expenses.items():
+                cashflow[key] -= amount
+            yield step, cashflow
+
     def cumulative_cashflow(self, t: int, v: str, i: int) -> int:
-        """Sum of revenue minus expenses for (v, i) over steps 1..t."""
+        """Sum of revenue minus expenses for (v, i) over steps 1..t.
+
+        The per-key reference for :meth:`cashflow_steps`; O(t) per call.
+        """
         self._step(t)
         key = (v, i)
         total = 0

@@ -541,6 +541,22 @@ def validate_config(config: ScenarioConfig) -> list:
                     "degenerate_economy",
                     "prices are indeterminate: no initial member links some currencies",
                 )
+            elif rates.mode == "endogenous" and k >= 2:
+                # j -> i when some initial member of j puts weight on i
+                valued = [
+                    [
+                        any(resolved[agent][i - 1] > 0 for agent in initial_members[j])
+                        for i in ids
+                    ]
+                    for j in ids
+                ]
+                if not strongly_connected(np.array(valued)):
+                    warn(
+                        "degenerate_economy",
+                        "the preference weights leave the currencies uncoupled: the "
+                        "initial members of some currencies value none of the others, "
+                        "so the first equilibrium can be indeterminate",
+                    )
 
     for cc in config.communities:
         if sum(cc.initial_coins.values()) == 0:
@@ -610,93 +626,91 @@ class RunResult:
     ex12: Optional[list]          # in-force rate 1->2 per step, index t-1
     a_over_t: Optional[list]      # fraction of steps with ex12 >= 1, index t-1
     final_network: CurrencyNetwork
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def mrs12_series(self) -> list:
         return [(event.t, event.mrs[0][1]) for event in self.rates_log]
 
     def justice_series(self, reference: int = 1) -> dict:
-        """Per-agent series of the justice value, index = step (0..T)."""
+        """Per-agent series of the justice value, index = step (0..T).
+
+        Computed once per reference currency and history length, then
+        shared: the report, the ``justice.csv`` writer and the summary all
+        get the same dict. Treat it and its lists as read-only.
+        """
         history = self.history
-        agents = history.agents
-        currencies = list(history.currencies)
-        k = history.k
-        cashflow = {(a, i): 0 for a in agents for i in currencies}
-        out = {a: [] for a in agents}
-        for t, step in enumerate(history.steps):
-            if t >= 1:
-                for key, amount in step.revenue.items():
-                    cashflow[key] += amount
-                for key, amount in step.expenses.items():
-                    cashflow[key] -= amount
-            if k == 1:
-                total = step.coin_counts[1]
-                for a in agents:
-                    value = (
-                        (step.balances.get((a, 1), 0) - cashflow[(a, 1)]) / total
-                        if total
-                        else float("nan")
-                    )
-                    out[a].append(value)
-            else:
-                col = self.rates_timeline[t].column(reference)
-                weights = [float(col[i - 1]) for i in currencies]
-                denominator = sum(
-                    step.coin_counts[i] * weights[i - 1] for i in currencies
-                )
-                for a in agents:
-                    if denominator:
-                        value = (
-                            sum(
-                                (step.balances.get((a, i), 0) - cashflow[(a, i)])
-                                * weights[i - 1]
-                                for i in currencies
-                            )
-                            / denominator
-                        )
-                    else:
-                        value = float("nan")
-                    out[a].append(value)
-        return out
+        key = ("series", reference, history.last_step)
+        series = self._memo.get(key)
+        if series is None:
+            agents = history.agents
+            rows = [
+                _justice_values(agents, step, cashflow, self._weights(step.t, reference))
+                for step, cashflow in history.cashflow_steps()
+            ]
+            series = self._memo[key] = dict(zip(agents, map(list, zip(*rows))))
+        return series
 
     def justice_final(self, reference: int = 1) -> dict:
-        """Per-agent justice value at the final step, in one sparse pass."""
+        """Per-agent justice value at the final step."""
         history = self.history
-        agents = history.agents
-        currencies = list(history.currencies)
-        cashflow: dict = {}
-        for step in history.steps[1:]:
-            for key, amount in step.revenue.items():
-                cashflow[key] = cashflow.get(key, 0) + amount
-            for key, amount in step.expenses.items():
-                cashflow[key] = cashflow.get(key, 0) - amount
-        final = history.steps[-1]
-        out = {}
-        if history.k == 1:
-            total = final.coin_counts[1]
-            for a in agents:
-                net = final.balances.get((a, 1), 0) - cashflow.get((a, 1), 0)
-                out[a] = net / total if total else float("nan")
-            return out
-        col = self.rates_timeline[-1].column(reference)
-        weights = [float(col[i - 1]) for i in currencies]
-        denominator = sum(
-            final.coin_counts[i] * weights[i - 1] for i in currencies
+        for final, cashflow in history.cashflow_steps():
+            pass  # run the cashflow up to the last step
+        values = _justice_values(
+            history.agents, final, cashflow, self._weights(final.t, reference)
         )
-        for a in agents:
-            net = sum(
-                (final.balances.get((a, i), 0) - cashflow.get((a, i), 0))
-                * weights[i - 1]
-                for i in currencies
-            )
-            out[a] = net / denominator if denominator else float("nan")
-        return out
+        return dict(zip(history.agents, values))
+
+    def member_counts(self) -> list:
+        """|V_t| per step t = 0..T, computed once per history length."""
+        history = self.history
+        key = ("counts", history.last_step)
+        counts = self._memo.get(key)
+        if counts is None:
+            counts = []
+            members = None
+            for step in history.steps:
+                if step.members is not members:  # steps share it between joins
+                    members = step.members
+                    count = len(set().union(*members.values()))
+                counts.append(count)
+            self._memo[key] = counts
+        return counts
 
     def justice_report(self, window_frac: float = 0.1, reference: int = 1) -> JusticeReport:
-        series = self.justice_series(reference)
-        counts = [
-            self.history.member_count(t) for t in range(self.history.last_step + 1)
-        ]
-        return build_justice_report(series, counts, len(self.history.agents), window_frac)
+        return build_justice_report(
+            self.justice_series(reference),
+            self.member_counts(),
+            len(self.history.agents),
+            window_frac,
+        )
+
+    def _weights(self, t: int, reference: int) -> Optional[list]:
+        """Value of one coin of each currency in the reference currency; None for k = 1."""
+        if self.history.k == 1:
+            return None
+        return self.rates_timeline[t].column(reference).tolist()
+
+
+def _justice_values(agents, step, cashflow, weights) -> list:
+    """Each agent's balance minus cashflow, weighted and diluted, at ``step``."""
+    balances = step.balances
+    if weights is None:
+        total = step.coin_counts[1]
+        if not total:
+            return [math.nan] * len(agents)
+        return [(balances.get((a, 1), 0) - cashflow[(a, 1)]) / total for a in agents]
+    currencies = range(1, len(weights) + 1)
+    denominator = sum(step.coin_counts[i] * weights[i - 1] for i in currencies)
+    if not denominator:
+        return [math.nan] * len(agents)
+    return [
+        sum(
+            (balances.get((a, i), 0) - cashflow[(a, i)]) * weights[i - 1]
+            for i in currencies
+        )
+        / denominator
+        for a in agents
+    ]
 
 
 # --------------------------------------------------------------------------

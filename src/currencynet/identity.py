@@ -182,17 +182,12 @@ def sybil_locality_report(
         for a in agents
     }
     currencies = list(history.currencies)
-    cashflow = {(a, i): 0 for a in agents for i in currencies}
     shares = {p: [] for p in persons}
 
-    for t, step in enumerate(history.steps):
-        if t >= 1:
-            for key, amount in step.revenue.items():
-                cashflow[key] += amount
-            for key, amount in step.expenses.items():
-                cashflow[key] -= amount
+    for step, cashflow in history.cashflow_steps():
+        t = step.t
         ex = rates_by_step[t] if t < len(rates_by_step) else rates_by_step[-1]
-        col = ex.column(reference)
+        col = ex.column(reference).tolist()
         denominator = sum(
             step.coin_counts[i] * col[i - 1] for i in currencies
         )

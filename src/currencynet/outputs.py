@@ -6,7 +6,9 @@ same config and seed produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import math
 import platform
 from pathlib import Path
 
@@ -29,28 +31,23 @@ METRICS_COLUMNS = (
 
 
 def metrics_rows(history: History):
-    agents = history.agents
-    currencies = list(history.currencies)
-    cashflow = {(a, i): 0 for a in agents for i in currencies}
-    for t, step in enumerate(history.steps):
-        if t >= 1:
-            for key, amount in step.revenue.items():
-                cashflow[key] += amount
-            for key, amount in step.expenses.items():
-                cashflow[key] -= amount
-        for a in agents:
-            for i in currencies:
-                key = (a, i)
-                yield (
-                    t,
-                    a,
-                    i,
-                    step.balances.get(key, 0),
-                    step.income.get(key, 0) if t >= 1 else 0,
-                    step.revenue.get(key, 0) if t >= 1 else 0,
-                    step.expenses.get(key, 0) if t >= 1 else 0,
-                    cashflow[key],
-                )
+    keys = [(a, i) for a in history.agents for i in history.currencies]
+    for step, cashflow in history.cashflow_steps():
+        t = step.t
+        balance = step.balances.get
+        income = step.income.get
+        revenue = step.revenue.get
+        expenses = step.expenses.get
+        for key in keys:
+            yield (
+                t,
+                *key,
+                balance(key, 0),
+                income(key, 0),
+                revenue(key, 0),
+                expenses(key, 0),
+                cashflow[key],
+            )
 
 
 def write_metrics_csv(history: History, path) -> None:
@@ -93,17 +90,35 @@ def write_solver_csv(result: RunResult, path) -> None:
             )
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it inside a row of several fields."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow((text, ""))
+    return buffer.getvalue()[: -len(",\r\n")]
+
+
 def write_justice_csv(result: RunResult, path) -> None:
+    """One row per (agent, step), agents in sorted order.
+
+    Rows are formatted with f-strings and give the same bytes as
+    ``csv.writer``: ints and float reprs never need quoting, and each agent
+    name is quoted once, by ``csv.writer`` itself.
+    """
     series = result.justice_series()
-    counts = [result.history.member_count(t) for t in range(result.history.last_step + 1)]
+    targets = [1.0 / count if count else math.nan for count in result.member_counts()]
+    target_texts = [repr(target) for target in targets]
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("t", "agent", "value", "target", "deviation"))
+        handle.write("t,agent,value,target,deviation\r\n")
         for agent in sorted(series):
-            values = series[agent]
-            for t, value in enumerate(values):
-                target = 1.0 / counts[t] if counts[t] else float("nan")
-                writer.writerow((t, agent, repr(value), repr(target), repr(abs(value - target))))
+            name = _csv_field(agent)
+            handle.write(
+                "".join(
+                    [
+                        f"{t},{name},{value!r},{target_texts[t]},{abs(value - targets[t])!r}\r\n"
+                        for t, value in enumerate(series[agent])
+                    ]
+                )
+            )
 
 
 def justice_summary(

@@ -354,6 +354,20 @@ class TestValidateConfig:
         diags = validate_config(config)
         assert [d.code for d in diags if d.level == "error"] == ["degenerate_economy"]
 
+    def test_weight_uncoupled_economy_warned(self):
+        # b and c value only currency 1, so no member of currency 1 values
+        # currency 2: memberships link the currencies but the weights do not
+        config = scenarios.pair_convergence_endogenous(steps=50)
+        preferences = dict(config.preferences, b={1: 1.0}, c={1: 1.0})
+        diags = validate_config(replace(config, preferences=preferences))
+        assert [(d.level, d.code) for d in diags if d.level != "info"] == [
+            ("warning", "degenerate_economy")
+        ]
+        assert not any(
+            d.code == "degenerate_economy"
+            for d in validate_config(scenarios.pair_convergence_endogenous(steps=50))
+        )
+
     @pytest.mark.parametrize(
         "schedule",
         [

@@ -1,10 +1,13 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
+from currencynet import scenarios
 from currencynet.accounting import History
 from currencynet.economy import ExchangeRateMatrix, coin_exchange_rates, mrs_matrix
+from currencynet.engine import CommunityConfig, RatesConfig, ScenarioConfig, run_scenario
 from currencynet.errors import ConditionViolatedError, TooShortError
 from currencynet.justice import (
     convergence_condition,
@@ -15,6 +18,7 @@ from currencynet.justice import (
 )
 from currencynet.ledger import pay
 from currencynet.minting import EgalitarianSingle, EqualBirthGrant, mint_step
+from currencynet.outputs import write_metrics_csv
 
 from conftest import make_network
 
@@ -198,3 +202,69 @@ class TestConvergenceReport:
     def test_too_short(self):
         with pytest.raises(TooShortError):
             convergence_report([1.0])
+
+
+def settled_triple(steps=30):
+    """k = 3 endogenous rates with settlement and a snapshot every third step.
+
+    Each overlap holds two agents with opposite leanings, so settlement has
+    counterparties and moves coins.
+    """
+    return ScenarioConfig(
+        name="settled_triple",
+        communities=(
+            CommunityConfig(1, ("a", "b", "c"), {"a": 3, "b": 2, "c": 1}),
+            CommunityConfig(2, ("b", "c", "d", "e"), {"b": 1, "c": 2, "d": 3, "e": 1}),
+            CommunityConfig(3, ("d", "e", "f"), {"d": 1, "e": 2, "f": 3}),
+        ),
+        steps=steps,
+        seed=4,
+        regime="joint_myopic",
+        rates=RatesConfig(mode="endogenous"),
+        settlement=True,
+        preferences={
+            "b": {1: 0.7, 2: 0.3},
+            "c": {1: 0.3, 2: 0.7},
+            "d": {2: 0.6, 3: 0.4},
+            "e": {2: 0.3, 3: 0.7},
+        },
+        trade_noise=1,
+        snapshot_interval=3,
+    )
+
+
+class TestRunSeriesAgainstOracle:
+    """The one-pass series and metrics.csv against the per-key reference."""
+
+    @pytest.fixture(
+        params=["single_with_joins", "pair_exogenous", "triple_settled"]
+    )
+    def result(self, request):
+        config = {
+            "single_with_joins": lambda: scenarios.single_community_dilution(steps=35),
+            "pair_exogenous": lambda: scenarios.pair_convergence_exogenous(steps=40),
+            "triple_settled": settled_triple,
+        }[request.param]()
+        return run_scenario(config)
+
+    def test_justice_series_matches_value_semantics(self, result):
+        history = result.history
+        assert history.k > 1 or any(step.joins for step in history.steps[1:])
+        series = result.justice_series()
+        for v in history.agents:
+            for t in range(history.last_step + 1):
+                if history.k == 1:
+                    expected = justice_value_single(history, t, v)
+                else:
+                    expected = justice_value_network(history, t, v, result.rates_timeline[t])
+                assert series[v][t] == pytest.approx(expected, abs=1e-12, nan_ok=True)
+
+    def test_metrics_csv_cashflow_matches_history(self, result, tmp_path):
+        history = result.history
+        write_metrics_csv(history, tmp_path / "metrics.csv")
+        with open(tmp_path / "metrics.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == (history.last_step + 1) * len(history.agents) * history.k
+        for row in rows:
+            t, v, i = int(row["t"]), row["agent"], int(row["currency"])
+            assert int(row["cumulative_cashflow"]) == history.cumulative_cashflow(t, v, i)

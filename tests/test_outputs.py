@@ -1,8 +1,30 @@
 import csv
+import hashlib
 import json
 
-from currencynet import outputs, scenarios
-from currencynet.engine import run_scenario
+import pytest
+
+from currencynet import engine, outputs, scenarios
+from currencynet.engine import (
+    CommunityConfig,
+    MrsSchedule,
+    RatesConfig,
+    ScenarioConfig,
+    run_scenario,
+)
+
+# sha256 of the bundle files of pair_convergence_exogenous(steps=40), and of
+# solver.csv from pair_convergence_endogenous(steps=40); manifest.json is left
+# out because it records the Python and numpy versions
+GOLDEN_EXOGENOUS = {
+    "metrics.csv": "f819fe3bd9b6f0840c2f926ffebf3e50cb27796a0de1969551710b62919e454e",
+    "justice.csv": "939e02c69e7df7084606d5a0862eb0ce15373f6b3d0711e85c6a723f2dec3d16",
+    "rates.csv": "af9a9b743d3ff4e881c5db2069c4a2eb80e14a7f076cbff3b0c4441cbfa963f5",
+    "justice.json": "0d80b04b796e9276e04616e1403aa75a28582bff3a7013dfcf4c8b2edb1550c7",
+}
+GOLDEN_ENDOGENOUS = {
+    "solver.csv": "891810d1d4eb892bcc106ccd2338d7115dd167d2d676a4a6a8757c3d31b63346",
+}
 
 
 def small_run():
@@ -16,9 +38,9 @@ def test_metrics_csv_schema_and_cashflow(tmp_path):
     with open(path) as handle:
         rows = list(csv.DictReader(handle))
     assert list(rows[0]) == list(outputs.METRICS_COLUMNS)
-    # spot-check the cumulative column against the history API
+    # check the cumulative column against the history API on every row
     history = result.history
-    for row in rows[-8:]:
+    for row in rows:
         t, agent, currency = int(row["t"]), row["agent"], int(row["currency"])
         assert int(row["cumulative_cashflow"]) == history.cumulative_cashflow(
             t, agent, currency
@@ -59,3 +81,89 @@ def test_manifest_reproduces_config(tmp_path):
     rebuilt = ScenarioConfig.from_dict(manifest["config"])
     assert rebuilt == result.config
     assert manifest["config_sha256"] == config_hash(rebuilt)
+
+
+def digests(outdir, names):
+    return {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest() for name in names}
+
+
+def test_bundle_bytes_match_golden_digests(tmp_path):
+    outputs.write_bundle(small_run(), tmp_path / "exo")
+    assert digests(tmp_path / "exo", GOLDEN_EXOGENOUS) == GOLDEN_EXOGENOUS
+    endogenous = run_scenario(scenarios.pair_convergence_endogenous(steps=40))
+    outputs.write_bundle(endogenous, tmp_path / "endo")
+    assert digests(tmp_path / "endo", GOLDEN_ENDOGENOUS) == GOLDEN_ENDOGENOUS
+
+
+def test_agent_names_needing_quotes_round_trip(tmp_path):
+    odd = ("x,y", 'q"t')
+    config = ScenarioConfig(
+        name="quoting",
+        communities=(
+            CommunityConfig(1, (odd[0], odd[1], "c"), {odd[0]: 1, odd[1]: 1, "c": 1}),
+            CommunityConfig(2, (odd[1], "c", "d"), {odd[1]: 1, "c": 1, "d": 1}),
+        ),
+        steps=12,
+        seed=3,
+        regime="joint_myopic",
+        rates=RatesConfig(mode="exogenous", mrs12=MrsSchedule(kind="constant", value=1.5)),
+        trade_noise=1,
+    )
+    result = run_scenario(config)
+    outputs.write_bundle(result, tmp_path)
+    series = result.justice_series()
+    # the f-string rows give the bytes csv.writer gives
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(("t", "agent", "value", "target", "deviation"))
+        for agent in sorted(series):
+            for t, value in enumerate(series[agent]):
+                target = 1.0 / result.history.member_count(t)
+                writer.writerow((t, agent, repr(value), repr(target), repr(abs(value - target))))
+    text = (tmp_path / "justice.csv").read_text()
+    assert text == expected.read_text()
+    assert '"x,y"' in text and '"q""t"' in text
+    with open(tmp_path / "justice.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 4 * 13
+    for row in rows:
+        assert float(row["value"]) == series[row["agent"]][int(row["t"])]
+    with open(tmp_path / "metrics.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert {row["agent"] for row in rows} == set(odd) | {"c", "d"}
+    for row in rows:
+        t, agent, currency = int(row["t"]), row["agent"], int(row["currency"])
+        assert int(row["balance"]) == result.history.balance(t, agent, currency)
+
+
+@pytest.fixture
+def counted_series_steps(monkeypatch):
+    """Counts the per-step justice computations a run makes."""
+    calls = []
+    builder = engine._justice_values
+
+    def counting(*args):
+        calls.append(args[1].t)
+        return builder(*args)
+
+    monkeypatch.setattr(engine, "_justice_values", counting)
+    return calls
+
+
+def test_one_job_builds_the_justice_series_once(tmp_path, counted_series_steps):
+    result = small_run()
+    result.justice_report()
+    outputs.write_bundle(result, tmp_path)
+    assert counted_series_steps == list(range(result.history.last_step + 1))
+
+
+def test_justice_series_memo_is_per_reference(counted_series_steps):
+    result = small_run()
+    first = result.justice_series(1)
+    assert result.justice_series(1) is first
+    second = result.justice_series(2)
+    assert second is not first
+    assert len(counted_series_steps) == 2 * (result.history.last_step + 1)
+    for agent, values in first.items():
+        assert values == pytest.approx(second[agent], abs=1e-12)
