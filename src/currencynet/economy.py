@@ -9,13 +9,16 @@ MRS by the coin-volume ratio gives per-coin exchange rates.
 The equilibrium prices are the stationary vector of the column-stochastic
 M = W^T E (weights W, endowment fractions E), found by one linear solve;
 they are determinate exactly when M is irreducible.
+
+Matrices are nested tuples or lists of Python floats. The economies have a
+handful of currencies, so every k x k computation here is cheap in plain
+Python; functions also accept 2-d arrays as input.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
-
-import numpy as np
 
 from .errors import (
     DegenerateEconomyError,
@@ -30,37 +33,61 @@ from .ledger import CurrencyNetwork, pay
 RATE_TOL = 1e-9
 
 
+def _float_rows(matrix) -> list:
+    """``matrix`` (nested sequences or a 2-d array) as a list of float lists."""
+    return [list(map(float, row)) for row in matrix]
+
+
+def _dot(xs, ys) -> float:
+    """Sum of products, added left to right.
+
+    The builtin ``sum`` compensates float rounding from Python 3.12 on, so
+    it would make results depend on the Python version.
+    """
+    total = 0.0
+    for x, y in zip(xs, ys):
+        total += x * y
+    return total
+
+
 @dataclass(frozen=True, eq=False)
 class ExchangeRateMatrix:
-    """Per-coin exchange rates: ex[i-1, j-1] coins of j buy one coin of i.
+    """Per-coin exchange rates: ex[i-1][j-1] coins of j buy one coin of i.
 
-    Validated at construction: unit diagonal (exactly), arbitrage-free
-    chains and reciprocal pairs within RATE_TOL.
+    ``ex`` is stored as a tuple of row tuples of floats. Validated at
+    construction: unit diagonal (exactly), arbitrage-free chains and
+    reciprocal pairs within RATE_TOL.
     """
 
-    ex: np.ndarray
+    ex: tuple
 
     def __post_init__(self):
-        ex = np.asarray(self.ex, dtype=float)
+        try:
+            ex = tuple(tuple(map(float, row)) for row in self.ex)
+        except TypeError:
+            raise InvalidRatesError("rate matrix must be square") from None
         object.__setattr__(self, "ex", ex)
-        if ex.ndim != 2 or ex.shape[0] != ex.shape[1]:
+        k = len(ex)
+        if any(len(row) != k for row in ex):
             raise InvalidRatesError("rate matrix must be square")
-        if not np.all(np.isfinite(ex)) or np.any(ex <= 0.0):
+        if not all(math.isfinite(x) and x > 0.0 for row in ex for x in row):
             raise InvalidRatesError("rates must be finite and positive")
-        k = ex.shape[0]
         for i in range(k):
-            if ex[i, i] != 1.0:
+            if ex[i][i] != 1.0:
                 raise InvalidRatesError(f"fungibility violated at currency {i + 1}")
         for i in range(k):
+            row_i = ex[i]
             for j in range(k):
-                lhs = ex[i, j] * ex[j, i]
+                ex_ij = row_i[j]
+                row_j = ex[j]
+                lhs = ex_ij * row_j[i]
                 if abs(lhs - 1.0) > RATE_TOL:
                     raise InvalidRatesError(
                         f"reciprocity violated for ({i + 1},{j + 1}): {lhs}"
                     )
                 for l in range(k):
-                    chained = ex[i, j] * ex[j, l]
-                    if abs(chained - ex[i, l]) > RATE_TOL * max(1.0, abs(ex[i, l])):
+                    chained = ex_ij * row_j[l]
+                    if abs(chained - row_i[l]) > RATE_TOL * max(1.0, abs(row_i[l])):
                         raise InvalidRatesError(
                             f"arbitrage-free trade violated for "
                             f"({i + 1},{j + 1},{l + 1})"
@@ -68,23 +95,23 @@ class ExchangeRateMatrix:
 
     @property
     def k(self) -> int:
-        return self.ex.shape[0]
+        return len(self.ex)
 
     def rate(self, i: int, j: int) -> float:
         if not (1 <= i <= self.k and 1 <= j <= self.k):
             raise InvalidRatesError(f"currency index out of range: ({i}, {j})")
-        return float(self.ex[i - 1, j - 1])
+        return self.ex[i - 1][j - 1]
 
-    def column(self, j: int) -> np.ndarray:
+    def column(self, j: int) -> list:
         """Values of one coin of each currency, expressed in currency j coins."""
-        return self.ex[:, j - 1]
+        return [row[j - 1] for row in self.ex]
 
     def as_lists(self) -> list:
-        return self.ex.tolist()
+        return [list(row) for row in self.ex]
 
     @classmethod
     def ones(cls, k: int) -> "ExchangeRateMatrix":
-        return cls(np.ones((k, k)))
+        return cls(((1.0,) * k,) * k)
 
 
 @dataclass(frozen=True)
@@ -114,14 +141,15 @@ class PreferenceProfile:
     def weight(self, agent: str, i: int) -> float:
         return self.weights[agent][i - 1]
 
-    def matrix(self, agents: Sequence[str]) -> np.ndarray:
-        return np.array([self.weights[a] for a in agents], dtype=float)
+    def matrix(self, agents: Sequence[str]) -> list:
+        """Rows of weights in ``agents`` order."""
+        return [list(self.weights[a]) for a in agents]
 
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    prices: np.ndarray       # normalized to sum 1
-    allocation: np.ndarray   # n x k diluted holdings at equilibrium
+    prices: tuple            # normalized to sum 1
+    allocation: list         # n rows of k diluted holdings at equilibrium
     residual: float          # max |M p - p|
 
 
@@ -133,97 +161,161 @@ def diluted_balances(network: CurrencyNetwork):
     """
     agents = list(network.agents)
     index = {agent: row for row, agent in enumerate(agents)}
-    counts = np.array([network.coin_count(i) for i in network.currencies], dtype=float)
-    if np.any(counts == 0):
+    counts = [float(network.coin_count(i)) for i in network.currencies]
+    if any(count == 0 for count in counts):
         empty = [i for i in network.currencies if network.coin_count(i) == 0]
         raise EmptyCurrencyError(f"currencies without coins: {empty}")
-    matrix = np.zeros((len(agents), network.k))
+    matrix = [[0.0] * network.k for _ in agents]
     for coin, agent in network.holder.items():
-        matrix[index[agent], coin.currency - 1] += 1.0
-    return agents, matrix / counts
+        matrix[index[agent]][coin.currency - 1] += 1.0
+    return agents, [[x / count for x, count in zip(row, counts)] for row in matrix]
 
 
-def strongly_connected(links: np.ndarray) -> bool:
+def strongly_connected(links) -> bool:
     """Whether the directed graph with boolean adjacency ``links`` is strongly connected."""
-    # (I + A)^(k-1) has no zero entry exactly when every node reaches every other
-    k = links.shape[0]
-    return bool(np.linalg.matrix_power(links | np.eye(k, dtype=bool), k - 1).all())
+    rows = [[bool(x) for x in row] for row in links]
+    k = len(rows)
+
+    def reaches_all(adjacency) -> bool:
+        seen = {0}
+        stack = [0]
+        while stack:
+            for j, linked in enumerate(adjacency[stack.pop()]):
+                if linked and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        return len(seen) == k
+
+    # node 1 reaches every node, and every node reaches node 1
+    return k == 0 or (reaches_all(rows) and reaches_all(list(zip(*rows))))
 
 
-def solve_equilibrium(endowment: np.ndarray, weights: np.ndarray) -> EquilibriumResult:
+def _solve_linear(system: list, rhs: list) -> list:
+    """x with system @ x = rhs, by Gaussian elimination with partial pivoting.
+
+    ``system`` and ``rhs`` are overwritten. Raises DegenerateEconomyError
+    when a pivot is exactly zero.
+    """
+    k = len(system)
+    for col in range(k):
+        pivot = max(range(col, k), key=lambda row: abs(system[row][col]))
+        if system[pivot][col] == 0.0:
+            raise DegenerateEconomyError("prices are indeterminate: the system is singular")
+        if pivot != col:
+            system[col], system[pivot] = system[pivot], system[col]
+            rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
+        top = system[col]
+        for row in range(col + 1, k):
+            lower = system[row]
+            factor = lower[col] / top[col]
+            for j in range(col + 1, k):
+                lower[j] -= factor * top[j]
+            rhs[row] -= factor * rhs[col]
+    x = [0.0] * k
+    for row in range(k - 1, -1, -1):
+        coeffs = system[row]
+        acc = rhs[row]
+        for j in range(row + 1, k):
+            acc -= coeffs[j] * x[j]
+        x[row] = acc / coeffs[row]
+    return x
+
+
+def solve_equilibrium(endowment, weights) -> EquilibriumResult:
     """Competitive equilibrium of the Cobb-Douglas diluted-portfolio economy.
 
     ``endowment`` is the n x k matrix of currency fractions (columns sum to
-    one), ``weights`` the matching Cobb-Douglas weight matrix. Market
-    clearing, p_i = sum_v weights[v, i] * (endowment[v] . p), reads p = M p
-    with the column-stochastic M = weights.T @ endowment, so the prices are
-    one solve of (M - I) p = 0 with a row replaced by sum(p) = 1. They are
-    unique and positive exactly when the graph of M > 0 is strongly
-    connected; otherwise DegenerateEconomyError is raised. The allocation
-    is each agent's demand at those prices.
+    one), ``weights`` the matching Cobb-Douglas weight matrix, each given as
+    nested sequences or a 2-d array. Market clearing,
+    p_i = sum_v weights[v][i] * (endowment[v] . p), reads p = M p with the
+    column-stochastic M = weights^T endowment, so the prices are one solve
+    of (M - I) p = 0 with a row replaced by sum(p) = 1. They are unique and
+    positive exactly when the graph of M > 0 is strongly connected;
+    otherwise DegenerateEconomyError is raised. The allocation is each
+    agent's demand at those prices.
     """
-    endowment = np.asarray(endowment, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if endowment.shape != weights.shape:
+    endowment = _float_rows(endowment)
+    weights = _float_rows(weights)
+    k = len(endowment[0]) if endowment else 0
+    if len(weights) != len(endowment) or set(map(len, endowment + weights)) != {k} or not k:
         raise ValueError("endowment and weights must have matching shapes")
-    k = endowment.shape[1]
-    column_sums = endowment.sum(axis=0)
-    if np.any(np.abs(column_sums - 1.0) > 1e-6):
+    currencies = range(k)
+    column_sums = [sum(column) for column in zip(*endowment)]
+    if any(abs(total - 1.0) > 1e-6 for total in column_sums):
         raise ValueError(f"endowment columns must sum to 1, got {column_sums}")
-    if np.any(weights.sum(axis=0) <= 0.0):
-        dead = [i + 1 for i in range(k) if weights[:, i].sum() <= 0.0]
+    dead = [i + 1 for i, column in enumerate(zip(*weights)) if sum(column) <= 0.0]
+    if dead:
         raise DegenerateEconomyError(f"currencies valued by no agent: {dead}")
 
-    market = weights.T @ endowment
-    if not strongly_connected(market > 0.0):
+    # M = W^T E, summed over agents in order (a zero weight adds nothing)
+    market = []
+    for weight_column in zip(*weights):
+        row = [0.0] * k
+        for w_i, e in zip(weight_column, endowment):
+            if w_i:
+                for j, e_j in enumerate(e):
+                    row[j] += w_i * e_j
+        market.append(row)
+    if not strongly_connected([[m > 0.0 for m in row] for row in market]):
         raise DegenerateEconomyError("prices are indeterminate: the economy is reducible")
     # the diagonal of M - I is minus each column's off-diagonal mass, which
     # equals M_ii - 1 for a column-stochastic M but avoids its cancellation
-    system = market - np.diag(np.diag(market))
-    system -= np.diag(system.sum(axis=0))
-    system[-1] = 1.0
-    prices = np.linalg.solve(system, np.eye(k)[-1])
-    residual = float(np.max(np.abs(market @ prices - prices)))
+    system = [list(row) for row in market]
+    for j in currencies:
+        mass = 0.0
+        for i in currencies:
+            if i != j:
+                mass += market[i][j]
+        system[j][j] = -mass
+    system[-1] = [1.0] * k
+    prices = _solve_linear(system, [0.0] * (k - 1) + [1.0])
+    residual = max(abs(_dot(row, prices) - p) for row, p in zip(market, prices))
 
-    if np.any(prices <= 1e-12):
-        dead = [i + 1 for i in range(k) if prices[i] <= 1e-12]
+    dead = [i + 1 for i in currencies if prices[i] <= 1e-12]
+    if dead:
         raise DegenerateEconomyError(
             f"currencies priced at zero (valued only by zero-wealth agents): {dead}"
         )
-    wealth = endowment @ prices
-    allocation = weights * wealth[:, None] / prices[None, :]
-    return EquilibriumResult(prices, allocation, residual)
+    allocation = []
+    for w, e in zip(weights, endowment):
+        wealth = _dot(e, prices)
+        allocation.append([w_i * wealth / p for w_i, p in zip(w, prices)])
+    return EquilibriumResult(tuple(prices), allocation, residual)
 
 
-def mrs_matrix(prices: Sequence[float]) -> np.ndarray:
-    """Marginal rates of substitution between currencies: mrs[i, j] = p_i / p_j."""
-    p = np.asarray(prices, dtype=float)
-    if np.any(p <= 0.0) or not np.all(np.isfinite(p)):
+def mrs_matrix(prices: Sequence[float]) -> tuple:
+    """Marginal rates of substitution between currencies: mrs[i][j] = p_i / p_j."""
+    p = [float(x) for x in prices]
+    if not all(math.isfinite(x) and x > 0.0 for x in p):
         raise NonPositivePriceError(f"prices must be positive, got {p}")
-    return p[:, None] / p[None, :]
+    return tuple(tuple(pi / pj for pj in p) for pi in p)
 
 
-def coin_exchange_rates(mrs: np.ndarray, coin_counts: Sequence[int]) -> ExchangeRateMatrix:
+def coin_exchange_rates(mrs, coin_counts: Sequence[int]) -> ExchangeRateMatrix:
     """Per-coin rates: the currency-level MRS normalized by coin volumes.
 
-    ex[i, j] = mrs[i, j] / (|C_i| / |C_j|), computed so that a volume ratio
+    ex[i][j] = mrs[i][j] / (|C_i| / |C_j|), computed so that a volume ratio
     exactly equal to the MRS yields a rate of exactly 1.
     """
-    mrs = np.asarray(mrs, dtype=float)
     counts = list(coin_counts)
     k = len(counts)
-    if mrs.shape != (k, k):
+    try:
+        mrs = _float_rows(mrs)
+    except TypeError:
+        raise InvalidRatesError("MRS matrix shape does not match coin counts") from None
+    if len(mrs) != k or any(len(row) != k for row in mrs):
         raise InvalidRatesError("MRS matrix shape does not match coin counts")
     if any(c <= 0 for c in counts):
         raise ZeroCoinsError(f"coin counts must be positive, got {counts}")
     for i in range(k):
-        if mrs[i, i] != 1.0:
+        if mrs[i][i] != 1.0:
             raise InvalidRatesError("MRS diagonal must be 1")
-    ex = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            ex[i, j] = mrs[i, j] / (counts[i] / counts[j])
-    return ExchangeRateMatrix(ex)
+    return ExchangeRateMatrix(
+        tuple(
+            tuple(row[j] / (counts[i] / counts[j]) for j in range(k))
+            for i, row in enumerate(mrs)
+        )
+    )
 
 
 def fractional_equity(network: CurrencyNetwork, ex: ExchangeRateMatrix, v: str) -> float:
@@ -263,7 +355,7 @@ def largest_remainder_targets(fractions: Sequence[float], total: int) -> list:
     earlier position.
     """
     exact = [float(f) * total for f in fractions]
-    base = [int(np.floor(x)) for x in exact]
+    base = [math.floor(x) for x in exact]
     leftover = total - sum(base)
     if leftover < 0:
         raise InfeasibleAllocationError("fractions sum above one")
@@ -275,28 +367,31 @@ def largest_remainder_targets(fractions: Sequence[float], total: int) -> list:
 
 def settle_trades(
     network: CurrencyNetwork,
-    allocation: np.ndarray,
+    allocation,
     agents: Optional[Sequence[str]] = None,
 ) -> CurrencyNetwork:
     """Realize a diluted allocation as integer coin transfers.
 
-    Each agent ends up holding the largest-remainder rounding of its
-    allocated fraction of every currency. Donors hand over their
-    lowest-serial coins first, in agent order, so settlement is
-    deterministic.
+    ``allocation`` holds one row of currency fractions per agent, as nested
+    sequences or a 2-d array. Each agent ends up holding the
+    largest-remainder rounding of its allocated fraction of every currency.
+    Donors hand over their lowest-serial coins first, in agent order, so
+    settlement is deterministic.
     """
     if agents is None:
         agents = list(network.agents)
-    allocation = np.asarray(allocation, dtype=float)
-    if allocation.shape != (len(agents), network.k):
+    allocation = _float_rows(allocation)
+    shape = (len(allocation), len(allocation[0]) if allocation else 0)
+    if shape != (len(agents), network.k) or any(
+        len(row) != network.k for row in allocation
+    ):
         raise InfeasibleAllocationError(
-            f"allocation shape {allocation.shape} does not match "
-            f"({len(agents)}, {network.k})"
+            f"allocation shape {shape} does not match ({len(agents)}, {network.k})"
         )
-    if np.any(allocation < -1e-12):
+    if any(x < -1e-12 for row in allocation for x in row):
         raise InfeasibleAllocationError("allocation has negative entries")
-    sums = allocation.sum(axis=0)
-    if np.any(np.abs(sums - 1.0) > 1e-9):
+    sums = [sum(row[i] for row in allocation) for i in range(network.k)]
+    if any(abs(total - 1.0) > 1e-9 for total in sums):
         raise InfeasibleAllocationError(f"allocation columns must sum to 1, got {sums}")
 
     current = network
@@ -304,7 +399,7 @@ def settle_trades(
         count = network.coin_count(i)
         if count == 0:
             continue
-        targets = largest_remainder_targets(allocation[:, i - 1], count)
+        targets = largest_remainder_targets([row[i - 1] for row in allocation], count)
         held = {agent: [] for agent in agents}
         for coin in sorted(network.community(i).coins):
             held[current.holder[coin]].append(coin)

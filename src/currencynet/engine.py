@@ -22,8 +22,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-import numpy as np
-
 from .accounting import History, HistoryStep
 from .economy import (
     ExchangeRateMatrix,
@@ -476,8 +474,8 @@ def validate_config(config: ScenarioConfig) -> list:
             if min(values) <= 0:
                 err("rates", "substitution schedule values, start and tau must be positive")
         if rates.mrs_matrix is not None:
-            matrix = np.array(rates.mrs_matrix)
-            if matrix.shape != (k, k):
+            matrix = rates.mrs_matrix
+            if len(matrix) != k or any(len(row) != k for row in matrix):
                 err("rates", f"mrs_matrix must be {k}x{k}")
             else:
                 try:
@@ -536,7 +534,7 @@ def validate_config(config: ScenarioConfig) -> list:
             # two currencies are linked when some agent is a member of both
             ids = range(1, k + 1)
             shared = [[bool(initial_members[i] & initial_members[j]) for j in ids] for i in ids]
-            if rates.mode == "endogenous" and not strongly_connected(np.array(shared)):
+            if rates.mode == "endogenous" and not strongly_connected(shared):
                 err(
                     "degenerate_economy",
                     "prices are indeterminate: no initial member links some currencies",
@@ -550,7 +548,7 @@ def validate_config(config: ScenarioConfig) -> list:
                     ]
                     for j in ids
                 ]
-                if not strongly_connected(np.array(valued)):
+                if not strongly_connected(valued):
                     warn(
                         "degenerate_economy",
                         "the preference weights leave the currencies uncoupled: the "
@@ -677,18 +675,26 @@ class RunResult:
         return counts
 
     def justice_report(self, window_frac: float = 0.1, reference: int = 1) -> JusticeReport:
-        return build_justice_report(
-            self.justice_series(reference),
-            self.member_counts(),
-            len(self.history.agents),
-            window_frac,
-        )
+        """The justice report, built once per window, reference and history length.
+
+        Shared like :meth:`justice_series`: treat it as read-only.
+        """
+        key = ("report", window_frac, reference, self.history.last_step)
+        report = self._memo.get(key)
+        if report is None:
+            report = self._memo[key] = build_justice_report(
+                self.justice_series(reference),
+                self.member_counts(),
+                len(self.history.agents),
+                window_frac,
+            )
+        return report
 
     def _weights(self, t: int, reference: int) -> Optional[list]:
         """Value of one coin of each currency in the reference currency; None for k = 1."""
         if self.history.k == 1:
             return None
-        return self.rates_timeline[t].column(reference).tolist()
+        return self.rates_timeline[t].column(reference)
 
 
 def _justice_values(agents, step, cashflow, weights) -> list:
@@ -843,15 +849,15 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     a_over_t: Optional[list] = [] if k == 2 else None
     a_count = 0
 
-    exo_matrix = (
-        np.array(config.rates.mrs_matrix) if config.rates.mrs_matrix is not None else None
-    )
+    exo_matrix = config.rates.mrs_matrix
+    if exo_matrix is not None:
+        exo_matrix = tuple(tuple(float(x) for x in row) for row in exo_matrix)
 
     def exogenous_mrs(t):
         if exo_matrix is not None:
             return exo_matrix
-        m = config.rates.mrs12.at(t)
-        return np.array([[1.0, m], [1.0 / m, 1.0]])
+        m = float(config.rates.mrs12.at(t))
+        return ((1.0, m), (1.0 / m, 1.0))
 
     join_schedule = {t: tuple(entries) for t, entries in config.joins.items()}
     snapshot_interval = config.snapshot_interval
@@ -999,38 +1005,31 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         if k >= 2 and t % config.k_eq == 0 and all(count[i] > 0 for i in currencies):
             counts_now = [count[i] for i in currencies]
             if endogenous:
-                endowment = np.array(
-                    [
-                        [balance.get((a, i), 0) / count[i] for i in currencies]
-                        for a in agents
-                    ]
-                )
+                endowment = [
+                    [balance.get((a, i), 0) / count[i] for i in currencies]
+                    for a in agents
+                ]
                 weight_rows = weights_at(t)
-                weight_matrix = np.array([weight_rows[a] for a in agents])
+                weight_matrix = [weight_rows[a] for a in agents]
                 try:
                     solution = solve_equilibrium(endowment, weight_matrix)
                 except CurrencyNetError as exc:
                     raise type(exc)(f"step {t}: {exc}") from None
                 mrs = mrs_matrix(solution.prices)
-                prices = tuple(float(p) for p in solution.prices)
+                prices = solution.prices
                 solver_log.append(SolverEvent(t, 1, solution.residual, prices))
             else:
                 mrs = exogenous_mrs(t)
                 prices = None
             rates = coin_exchange_rates(mrs, counts_now)
             rates_log.append(
-                RatesEvent(
-                    t,
-                    tuple(tuple(float(x) for x in row) for row in mrs),
-                    tuple(tuple(float(x) for x in row) for row in rates.ex),
-                    prices=prices,
-                )
+                RatesEvent(t, mrs, rates.ex, prices=prices)
             )
             if config.settlement and endogenous:
                 settled = True
                 for col, i in enumerate(currencies):
                     targets = largest_remainder_targets(
-                        solution.allocation[:, col], count[i]
+                        [row[col] for row in solution.allocation], count[i]
                     )
                     surplus = []
                     deficit = []

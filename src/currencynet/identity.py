@@ -187,7 +187,7 @@ def sybil_locality_report(
     for step, cashflow in history.cashflow_steps():
         t = step.t
         ex = rates_by_step[t] if t < len(rates_by_step) else rates_by_step[-1]
-        col = ex.column(reference).tolist()
+        col = ex.column(reference)
         denominator = sum(
             step.coin_counts[i] * col[i - 1] for i in currencies
         )

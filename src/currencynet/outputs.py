@@ -12,8 +12,6 @@ import math
 import platform
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .accounting import History
 from .engine import RunResult, ScenarioConfig, config_hash
@@ -50,11 +48,41 @@ def metrics_rows(history: History):
             )
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it inside a row of several fields."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow((text, ""))
+    return buffer.getvalue()[: -len(",\r\n")]
+
+
 def write_metrics_csv(history: History, path) -> None:
+    """The rows of :func:`metrics_rows`, one f-string each.
+
+    Gives the same bytes as ``csv.writer``: the numbers are ints, and each
+    agent name is quoted once, by ``csv.writer`` itself.
+    """
+    keyed = [
+        ((agent, i), f"{_csv_field(agent)},{i}")
+        for agent in history.agents
+        for i in history.currencies
+    ]
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(METRICS_COLUMNS)
-        writer.writerows(metrics_rows(history))
+        handle.write(",".join(METRICS_COLUMNS) + "\r\n")
+        for step, cashflow in history.cashflow_steps():
+            t = step.t
+            balance = step.balances.get
+            income = step.income.get
+            revenue = step.revenue.get
+            expenses = step.expenses.get
+            handle.write(
+                "".join(
+                    [
+                        f"{t},{text},{balance(key, 0)},{income(key, 0)},{revenue(key, 0)},"
+                        f"{expenses(key, 0)},{cashflow[key]}\r\n"
+                        for key, text in keyed
+                    ]
+                )
+            )
 
 
 def write_metrics_json(history: History, path) -> None:
@@ -88,13 +116,6 @@ def write_solver_csv(result: RunResult, path) -> None:
                 (event.t, event.iterations, repr(event.residual))
                 + tuple(repr(p) for p in event.prices)
             )
-
-
-def _csv_field(text: str) -> str:
-    """``text`` as ``csv.writer`` writes it inside a row of several fields."""
-    buffer = io.StringIO()
-    csv.writer(buffer).writerow((text, ""))
-    return buffer.getvalue()[: -len(",\r\n")]
 
 
 def write_justice_csv(result: RunResult, path) -> None:
@@ -168,7 +189,6 @@ def write_manifest(config: ScenarioConfig, path, files) -> None:
         "package": "currencynet",
         "version": __version__,
         "python": platform.python_version(),
-        "numpy": np.__version__,
         "files": sorted(files),
     }
     with open(path, "w") as handle:

@@ -6,9 +6,8 @@ quantities against fixed bands. Suite names are stable CLI identifiers.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .economy import coin_exchange_rates, mrs_matrix, solve_equilibrium
 from .engine import run_scenario
@@ -125,8 +124,8 @@ def suite_solver() -> list:
     for a1, b1 in itertools.product(grid, grid):
         for e_a in ((1.0, 0.0), (0.5, 0.5)):
             e_b = (1.0 - e_a[0], 1.0 - e_a[1])
-            endowment = np.array([e_a, e_b])
-            weights = np.array([[a1, 1.0 - a1], [b1, 1.0 - b1]])
+            endowment = [e_a, e_b]
+            weights = [[a1, 1.0 - a1], [b1, 1.0 - b1]]
             solution = solve_equilibrium(endowment, weights)
             expected = closed_form_two_agent_prices(a1, b1, e_a, e_b)
             worst = max(worst, abs(solution.prices[0] - expected))
@@ -134,24 +133,25 @@ def suite_solver() -> list:
         _check("solver", "grid: max |price - closed form|", worst, worst < 1e-8, "< 1e-8")
     ]
 
-    rng = np.random.default_rng(20240521)
+    rng = random.Random(20240521)
     worst_axiom = 0.0
     for k in (2, 3, 4):
         for _ in range(20):
-            n = int(rng.integers(2, 6))
-            weights = rng.random((n, k)) + 0.05
-            weights = weights / weights.sum(axis=1, keepdims=True)
-            endowment = rng.random((n, k)) + 0.01
-            endowment = endowment / endowment.sum(axis=0, keepdims=True)
-            counts = [int(c) for c in rng.integers(1, 500, size=k)]
+            n = rng.randrange(2, 6)
+            weights = [[rng.random() + 0.05 for _ in range(k)] for _ in range(n)]
+            weights = [[w / sum(row) for w in row] for row in weights]
+            endowment = [[rng.random() + 0.01 for _ in range(k)] for _ in range(n)]
+            totals = [sum(row[i] for row in endowment) for i in range(k)]
+            endowment = [[e / total for e, total in zip(row, totals)] for row in endowment]
+            counts = [rng.randrange(1, 500) for _ in range(k)]
             solution = solve_equilibrium(endowment, weights)
             ex = coin_exchange_rates(mrs_matrix(solution.prices), counts).ex
             for i in range(k):
-                worst_axiom = max(worst_axiom, abs(ex[i, i] - 1.0))
+                worst_axiom = max(worst_axiom, abs(ex[i][i] - 1.0))
                 for j in range(k):
-                    worst_axiom = max(worst_axiom, abs(ex[i, j] * ex[j, i] - 1.0))
+                    worst_axiom = max(worst_axiom, abs(ex[i][j] * ex[j][i] - 1.0))
                     for l in range(k):
-                        worst_axiom = max(worst_axiom, abs(ex[i, j] * ex[j, l] - ex[i, l]))
+                        worst_axiom = max(worst_axiom, abs(ex[i][j] * ex[j][l] - ex[i][l]))
     checks.append(
         _check("solver", "rate axioms on random economies", worst_axiom,
                worst_axiom <= 1e-9, "<= 1e-9")

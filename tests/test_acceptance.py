@@ -279,7 +279,7 @@ def test_criterion_7_solver_matches_closed_form_and_rate_axioms():
             endowment /= endowment.sum(axis=0, keepdims=True)
             counts = [int(c) for c in rng.integers(1, 1000, size=k)]
             solution = solve_equilibrium(endowment, weights)
-            ex = coin_exchange_rates(mrs_matrix(solution.prices), counts).ex
+            ex = np.asarray(coin_exchange_rates(mrs_matrix(solution.prices), counts).ex)
             for i in range(k):
                 worst_axiom = max(worst_axiom, abs(ex[i, i] - 1.0))
                 for j in range(k):

@@ -15,6 +15,7 @@ from currencynet.economy import (
     mrs_matrix,
     settle_trades,
     solve_equilibrium,
+    strongly_connected,
 )
 from currencynet.errors import (
     DegenerateEconomyError,
@@ -43,21 +44,21 @@ class TestDilutedBalances:
         network = make_network({1: (["a"], {"a": 4}), 2: (["a"], {"a": 2})})
         agents, matrix = diluted_balances(network)
         assert agents == ["a"]
-        assert matrix.tolist() == [[1.0, 1.0]]
+        assert np.asarray(matrix).tolist() == [[1.0, 1.0]]
 
     def test_even_split(self):
         network = make_network({1: (["a", "b"], {"a": 3, "b": 3})})
         _, matrix = diluted_balances(network)
-        assert matrix[:, 0].tolist() == [0.5, 0.5]
+        assert np.asarray(matrix)[:, 0].tolist() == [0.5, 0.5]
 
     def test_columns_sum_to_one(self):
         network = make_network(
             {1: (["a", "b", "c"], {"a": 2, "b": 1}), 2: (["b", "c"], {"c": 5})}
         )
         _, matrix = diluted_balances(network)
-        assert np.allclose(matrix.sum(axis=0), 1.0)
+        assert np.allclose(np.asarray(matrix).sum(axis=0), 1.0)
         # direct count / total for a spot entry
-        assert matrix[0, 0] == 2 / 3
+        assert matrix[0][0] == 2 / 3
 
     def test_empty_currency_rejected(self):
         network = make_network({1: (["a"], {"a": 1}), 2: (["a"], {})})
@@ -70,7 +71,7 @@ class TestSolveEquilibrium:
         endowment = np.array([[0.25], [0.75]])
         weights = np.array([[1.0], [1.0]])
         result = solve_equilibrium(endowment, weights)
-        assert result.prices.tolist() == [1.0]
+        assert np.asarray(result.prices).tolist() == [1.0]
         assert np.allclose(result.allocation, endowment)
 
     def test_symmetric_two_by_two(self):
@@ -97,7 +98,7 @@ class TestSolveEquilibrium:
         weights = rng.random((5, 3)) + 0.05
         weights /= weights.sum(axis=1, keepdims=True)
         result = solve_equilibrium(endowment, weights)
-        assert np.all(np.abs(result.allocation.sum(axis=0) - 1.0) < 1e-8)
+        assert np.all(np.abs(np.asarray(result.allocation).sum(axis=0) - 1.0) < 1e-8)
         assert result.residual < 1e-12
 
     def test_allocation_weakly_improves_utility(self):
@@ -137,6 +138,31 @@ class TestSolveEquilibrium:
         result = solve_equilibrium(endowment, weights)
         assert abs(result.prices[0] - 2.0 / 3.0) < 1e-12
 
+    def test_matches_numpy_linear_solve(self):
+        # reference: the same system solved by LAPACK through numpy
+        rng = np.random.default_rng(5)
+        for k in (2, 3, 4):
+            for _ in range(50):
+                n = int(rng.integers(2, 8))
+                endowment = rng.random((n, k)) + 0.01
+                endowment /= endowment.sum(axis=0, keepdims=True)
+                weights = rng.random((n, k)) * (rng.random((n, k)) < 0.7) + 1e-3
+                weights /= weights.sum(axis=1, keepdims=True)
+                market = weights.T @ endowment
+                system = market - np.diag(market.sum(axis=0))
+                system[-1] = 1.0
+                expected = np.linalg.solve(system, np.eye(k)[-1])
+                result = solve_equilibrium(endowment, weights)
+                assert np.allclose(result.prices, expected, rtol=0, atol=1e-14)
+                prices = np.array(result.prices)
+                assert np.allclose(
+                    result.allocation,
+                    weights * (endowment @ prices)[:, None] / prices,
+                    rtol=1e-13,
+                    atol=0,
+                )
+                assert all(type(p) is float for p in result.prices)
+
     def test_bad_column_sums_rejected(self):
         endowment = np.array([[0.7, 0.1], [0.7, 0.9]])
         weights = np.full((2, 2), 0.5)
@@ -144,12 +170,24 @@ class TestSolveEquilibrium:
             solve_equilibrium(endowment, weights)
 
 
+class TestStronglyConnected:
+    def test_matches_matrix_power_definition(self):
+        # reference: (I + A)^(k-1) has no zero entry exactly when strongly connected
+        rng = np.random.default_rng(3)
+        for k in range(1, 6):
+            for _ in range(200):
+                links = rng.random((k, k)) < 0.35
+                reach = np.linalg.matrix_power(links | np.eye(k, dtype=bool), k - 1)
+                assert strongly_connected(links) == bool(reach.all())
+                assert strongly_connected(links.tolist()) == bool(reach.all())
+
+
 class TestMrsMatrix:
     def test_equal_prices_all_ones(self):
-        assert mrs_matrix([0.5, 0.5]).tolist() == [[1.0, 1.0], [1.0, 1.0]]
+        assert np.asarray(mrs_matrix([0.5, 0.5])).tolist() == [[1.0, 1.0], [1.0, 1.0]]
 
     def test_three_currency_arithmetic(self):
-        mrs = mrs_matrix([0.6, 0.3, 0.1])
+        mrs = np.asarray(mrs_matrix([0.6, 0.3, 0.1]))
         assert mrs[0, 2] == pytest.approx(6.0, rel=1e-12)
         assert mrs[0, 1] * mrs[1, 2] == pytest.approx(6.0, rel=1e-12)
         assert np.all(np.diag(mrs) == 1.0)
@@ -158,7 +196,7 @@ class TestMrsMatrix:
         endowment = np.eye(2)
         weights = np.array([[0.75, 0.25], [0.25, 0.75]])
         result = solve_equilibrium(endowment, weights)
-        mrs = mrs_matrix(result.prices)
+        mrs = np.asarray(mrs_matrix(result.prices))
         assert abs(mrs[0, 1] - 1.0) < 1e-9  # oracle: p = (0.5, 0.5)
 
     def test_nonpositive_prices_rejected(self):
@@ -207,7 +245,7 @@ class TestCoinExchangeRates:
                 st.integers(1, 1000), min_size=len(prices), max_size=len(prices)
             )
         )
-        ex = coin_exchange_rates(mrs_matrix(prices), counts).ex
+        ex = np.asarray(coin_exchange_rates(mrs_matrix(prices), counts).ex)
         k = len(prices)
         for i in range(k):
             assert ex[i, i] == 1.0
@@ -333,7 +371,7 @@ class TestPreferenceProfile:
     def test_valid_profile(self):
         profile = PreferenceProfile({"a": (0.6, 0.4), "b": (0.0, 1.0)}, k=2)
         assert profile.weight("a", 1) == 0.6
-        assert profile.matrix(["a", "b"]).shape == (2, 2)
+        assert np.asarray(profile.matrix(["a", "b"])).shape == (2, 2)
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):

@@ -276,7 +276,7 @@ class TestSettlement:
                 [0.0, 1.0],
             ]
         )
-        allocation = solve_equilibrium(endowment, weights).allocation
+        allocation = np.asarray(solve_equilibrium(endowment, weights).allocation)
         for col, i in enumerate((1, 2)):
             targets = largest_remainder_targets(
                 allocation[:, col], plain.final_network.coin_count(i)

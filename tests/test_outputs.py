@@ -14,18 +14,19 @@ from currencynet.engine import (
 )
 
 # sha256 of the bundle files of pair_convergence_exogenous(steps=40), and of
-# solver.csv from pair_convergence_endogenous(steps=40); manifest.json is left
-# out because it records the Python and numpy versions
+# solver.csv from pair_convergence_endogenous(steps=40) without its residual
+# column; manifest.json is left out because it records the Python version
 GOLDEN_EXOGENOUS = {
     "metrics.csv": "f819fe3bd9b6f0840c2f926ffebf3e50cb27796a0de1969551710b62919e454e",
     "justice.csv": "939e02c69e7df7084606d5a0862eb0ce15373f6b3d0711e85c6a723f2dec3d16",
     "rates.csv": "af9a9b743d3ff4e881c5db2069c4a2eb80e14a7f076cbff3b0c4441cbfa963f5",
     "justice.json": "0d80b04b796e9276e04616e1403aa75a28582bff3a7013dfcf4c8b2edb1550c7",
 }
-GOLDEN_ENDOGENOUS = {
-    "solver.csv": "891810d1d4eb892bcc106ccd2338d7115dd167d2d676a4a6a8757c3d31b63346",
-}
-
+# the residual max|Mp - p| is a rounding error of order 1e-16 whose last bits
+# depend on the order of the floating-point sums, so it is bounded instead
+GOLDEN_SOLVER_WITHOUT_RESIDUAL = (
+    "d8b0b0b35e7b0a13705ec7aa2c32c6d167688815663c8b72e9908f2f6714091f"
+)
 
 def small_run():
     return run_scenario(scenarios.pair_convergence_exogenous(steps=40))
@@ -87,13 +88,25 @@ def digests(outdir, names):
     return {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest() for name in names}
 
 
+def without_column(path, column) -> bytes:
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    drop = rows[0].index(column)
+    return "".join(",".join(row[:drop] + row[drop + 1:]) + "\r\n" for row in rows).encode()
+
+
 def test_bundle_bytes_match_golden_digests(tmp_path):
     outputs.write_bundle(small_run(), tmp_path / "exo")
     assert digests(tmp_path / "exo", GOLDEN_EXOGENOUS) == GOLDEN_EXOGENOUS
     endogenous = run_scenario(scenarios.pair_convergence_endogenous(steps=40))
     outputs.write_bundle(endogenous, tmp_path / "endo")
-    assert digests(tmp_path / "endo", GOLDEN_ENDOGENOUS) == GOLDEN_ENDOGENOUS
-
+    solver = tmp_path / "endo" / "solver.csv"
+    stripped = without_column(solver, "residual")
+    assert hashlib.sha256(stripped).hexdigest() == GOLDEN_SOLVER_WITHOUT_RESIDUAL
+    with open(solver, newline="") as handle:
+        residuals = [float(row["residual"]) for row in csv.DictReader(handle)]
+    assert len(residuals) == 40
+    assert max(residuals) <= 1e-15
 
 def test_agent_names_needing_quotes_round_trip(tmp_path):
     odd = ("x,y", 'q"t')
@@ -129,12 +142,23 @@ def test_agent_names_needing_quotes_round_trip(tmp_path):
     assert len(rows) == 4 * 13
     for row in rows:
         assert float(row["value"]) == series[row["agent"]][int(row["t"])]
+    with open(expected, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(outputs.METRICS_COLUMNS)
+        writer.writerows(outputs.metrics_rows(result.history))
+    text = (tmp_path / "metrics.csv").read_text()
+    assert text == expected.read_text()
+    assert '"x,y"' in text and '"q""t"' in text
     with open(tmp_path / "metrics.csv", newline="") as handle:
         rows = list(csv.DictReader(handle))
     assert {row["agent"] for row in rows} == set(odd) | {"c", "d"}
-    for row in rows:
+    assert len(rows) == 4 * 2 * 13
+    for row, reference in zip(rows, outputs.metrics_rows(result.history)):
         t, agent, currency = int(row["t"]), row["agent"], int(row["currency"])
         assert int(row["balance"]) == result.history.balance(t, agent, currency)
+        assert (t, agent, currency) + tuple(
+            int(row[column]) for column in outputs.METRICS_COLUMNS[3:]
+        ) == reference
 
 
 @pytest.fixture
@@ -156,6 +180,25 @@ def test_one_job_builds_the_justice_series_once(tmp_path, counted_series_steps):
     result.justice_report()
     outputs.write_bundle(result, tmp_path)
     assert counted_series_steps == list(range(result.history.last_step + 1))
+
+
+def test_one_job_builds_the_justice_report_once(tmp_path, monkeypatch):
+    calls = []
+    builder = engine.build_justice_report
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return builder(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "build_justice_report", counting)
+    result = small_run()
+    report = result.justice_report()
+    outputs.write_bundle(result, tmp_path)
+    assert len(calls) == 1
+    assert result.justice_report() is report
+    assert result.justice_report(0.2) is not report
+    assert result.justice_report(reference=2) is not report
+    assert len(calls) == 3
 
 
 def test_justice_series_memo_is_per_reference(counted_series_steps):
