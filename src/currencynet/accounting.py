@@ -20,8 +20,7 @@ and cumulatively b_t = b_0 + sum(m + r - e).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BadIndexError, MonotonicityViolationError
 from .ledger import CurrencyNetwork
@@ -29,7 +28,6 @@ from .ledger import CurrencyNetwork
 Key = tuple  # (agent, currency)
 
 
-@dataclass(slots=True)
 class HistoryStep:
     """One step of a network history. Treat instances as immutable.
 
@@ -38,16 +36,34 @@ class HistoryStep:
     income follows the holder at the snapshot.
     """
 
-    t: int
-    minted: Mapping
-    joins: frozenset
-    members: Mapping           # currency -> frozenset of agents
-    coin_counts: Mapping       # currency -> int
-    balances: Mapping          # (agent, currency) -> int, dense over members
-    income: Mapping            # sparse, nonzero entries only
-    revenue: Mapping
-    expenses: Mapping
-    network: Optional[CurrencyNetwork] = None
+    __slots__ = (
+        "t", "minted", "joins", "members", "coin_counts", "balances",
+        "income", "revenue", "expenses", "network",
+    )
+
+    def __init__(
+        self,
+        t: int,
+        minted: Mapping,
+        joins: frozenset,
+        members: Mapping,           # currency -> frozenset of agents
+        coin_counts: Mapping,       # currency -> int
+        balances: Mapping,          # (agent, currency) -> int, dense over members
+        income: Mapping,            # sparse, nonzero entries only
+        revenue: Mapping,
+        expenses: Mapping,
+        network: Optional[CurrencyNetwork] = None,
+    ):
+        self.t = t
+        self.minted = minted
+        self.joins = joins
+        self.members = members
+        self.coin_counts = coin_counts
+        self.balances = balances
+        self.income = income
+        self.revenue = revenue
+        self.expenses = expenses
+        self.network = network
 
     @classmethod
     def initial(cls, network: CurrencyNetwork) -> "HistoryStep":
@@ -301,8 +317,7 @@ class History:
         return self._step(t), self._step(t - 1)
 
 
-@dataclass(frozen=True)
-class AccountingViolation:
+class AccountingViolation(NamedTuple):
     t: int
     agent: str
     currency: int
@@ -310,11 +325,11 @@ class AccountingViolation:
     detail: str
 
 
-@dataclass
 class AccountingReport:
-    steps_checked: int
-    checks: int
-    violations: list = field(default_factory=list)
+    def __init__(self, steps_checked: int, checks: int, violations: Optional[list] = None):
+        self.steps_checked = steps_checked
+        self.checks = checks
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .engine import load_scenario, run_scenario, validate_config
@@ -67,7 +66,7 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         overrides["seed"] = args.seed
     if overrides:
-        config = replace(config, **overrides)
+        config = config._replace(**overrides)
     diagnostics = validate_config(config)
     for diag in diagnostics:
         if not args.quiet or diag.level == "error":

@@ -17,8 +17,7 @@ Python; functions also accept 2-d arrays as input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     DegenerateEconomyError,
@@ -38,32 +37,39 @@ def _float_rows(matrix) -> list:
     return [list(map(float, row)) for row in matrix]
 
 
-def _dot(xs, ys) -> float:
-    """Sum of products, added left to right.
+def ordered_sum(values) -> float:
+    """Sum of ``values``, added left to right.
 
     The builtin ``sum`` compensates float rounding from Python 3.12 on, so
     it would make results depend on the Python version.
     """
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def _dot(xs, ys) -> float:
+    """Sum of products, added left to right like :func:`ordered_sum`."""
     total = 0.0
     for x, y in zip(xs, ys):
         total += x * y
     return total
 
 
-@dataclass(frozen=True, eq=False)
 class ExchangeRateMatrix:
     """Per-coin exchange rates: ex[i-1][j-1] coins of j buy one coin of i.
 
     ``ex`` is stored as a tuple of row tuples of floats. Validated at
     construction: unit diagonal (exactly), arbitrage-free chains and
-    reciprocal pairs within RATE_TOL.
+    reciprocal pairs within RATE_TOL. Immutable; equal only to itself.
     """
 
-    ex: tuple
+    __slots__ = ("ex",)
 
-    def __post_init__(self):
+    def __init__(self, ex):
         try:
-            ex = tuple(tuple(map(float, row)) for row in self.ex)
+            ex = tuple(tuple(map(float, row)) for row in ex)
         except TypeError:
             raise InvalidRatesError("rate matrix must be square") from None
         object.__setattr__(self, "ex", ex)
@@ -93,6 +99,15 @@ class ExchangeRateMatrix:
                             f"({i + 1},{j + 1},{l + 1})"
                         )
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"ExchangeRateMatrix(ex={self.ex!r})"
+
     @property
     def k(self) -> int:
         return len(self.ex)
@@ -114,29 +129,36 @@ class ExchangeRateMatrix:
         return cls(((1.0,) * k,) * k)
 
 
-@dataclass(frozen=True)
-class PreferenceProfile:
+class _PreferenceFields(NamedTuple):
+    weights: Mapping
+    k: int
+
+
+class PreferenceProfile(_PreferenceFields):
     """Cobb-Douglas weights per agent over the k currencies.
 
     Weights are nonnegative and sum to one per agent; an agent should carry
     zero weight on currencies it is not a member of.
     """
 
-    weights: Mapping
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, weights: Mapping, k: int):
         normalized = {}
-        for agent, row in self.weights.items():
+        for agent, row in weights.items():
             row = tuple(float(w) for w in row)
-            if len(row) != self.k:
-                raise ValueError(f"agent {agent!r} has {len(row)} weights, expected {self.k}")
+            if len(row) != k:
+                raise ValueError(f"agent {agent!r} has {len(row)} weights, expected {k}")
             if any(w < 0 for w in row):
                 raise ValueError(f"agent {agent!r} has a negative weight")
             if abs(sum(row) - 1.0) > 1e-9:
                 raise ValueError(f"weights of agent {agent!r} must sum to 1")
             normalized[agent] = row
-        object.__setattr__(self, "weights", normalized)
+        return super().__new__(cls, normalized, k)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # so that _replace validates too
 
     def weight(self, agent: str, i: int) -> float:
         return self.weights[agent][i - 1]
@@ -146,8 +168,7 @@ class PreferenceProfile:
         return [list(self.weights[a]) for a in agents]
 
 
-@dataclass(frozen=True)
-class EquilibriumResult:
+class EquilibriumResult(NamedTuple):
     prices: tuple            # normalized to sum 1
     allocation: list         # n rows of k diluted holdings at equilibrium
     residual: float          # max |M p - p|
@@ -234,8 +255,11 @@ def solve_equilibrium(endowment, weights) -> EquilibriumResult:
     otherwise DegenerateEconomyError is raised. The allocation is each
     agent's demand at those prices.
     """
-    endowment = _float_rows(endowment)
-    weights = _float_rows(weights)
+    return solve_float_rows(_float_rows(endowment), _float_rows(weights))
+
+
+def solve_float_rows(endowment: list, weights: list) -> EquilibriumResult:
+    """:func:`solve_equilibrium` on lists of rows of Python floats, read but not copied."""
     k = len(endowment[0]) if endowment else 0
     if len(weights) != len(endowment) or set(map(len, endowment + weights)) != {k} or not k:
         raise ValueError("endowment and weights must have matching shapes")
@@ -335,9 +359,7 @@ def fractional_equity(network: CurrencyNetwork, ex: ExchangeRateMatrix, v: str) 
 
     def value(reference):
         col = ex.column(reference)
-        num = sum(b * col[i] for i, b in enumerate(balances))
-        den = sum(c * col[i] for i, c in enumerate(counts))
-        return num / den
+        return _dot(balances, col) / _dot(counts, col)
 
     first = value(1)
     last = value(network.k)

@@ -19,8 +19,8 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional
 
 from .accounting import History, HistoryStep
 from .economy import (
@@ -28,9 +28,13 @@ from .economy import (
     coin_exchange_rates,
     largest_remainder_targets,
     mrs_matrix,
-    solve_equilibrium,
+    ordered_sum,
     strongly_connected,
 )
+# the engine's rows are float lists already, so it calls the solver core
+# without the conversion; the public name stays, so wrappers of
+# engine.solve_equilibrium see every solve
+from .economy import solve_float_rows as solve_equilibrium
 from .errors import ConfigError, CurrencyNetError
 from .justice import (
     JusticeReport,
@@ -62,22 +66,23 @@ REGIME_TAGS = (
 )
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+# the default of the mapping fields: one shared, read-only, empty mapping
+NO_ENTRIES: Mapping = MappingProxyType({})
+
+
+class Diagnostic(NamedTuple):
     level: str   # "error" | "warning" | "info"
     code: str
     message: str
 
 
-@dataclass(frozen=True)
-class CommunityConfig:
+class CommunityConfig(NamedTuple):
     index: int
     members: tuple
-    initial_coins: Mapping = field(default_factory=dict)  # agent -> coin count
+    initial_coins: Mapping = NO_ENTRIES  # agent -> coin count
 
 
-@dataclass(frozen=True)
-class MrsSchedule:
+class MrsSchedule(NamedTuple):
     """Scalar substitution-rate schedule for exogenous two-currency runs."""
 
     kind: str            # constant | exp_approach | table
@@ -137,8 +142,7 @@ class MrsSchedule:
         return {"kind": "table", "points": [list(p) for p in self.points]}
 
 
-@dataclass(frozen=True)
-class RatesConfig:
+class RatesConfig(NamedTuple):
     mode: str = "endogenous"         # endogenous | exogenous
     tol: float = 1e-12
     max_iter: int = 5000
@@ -177,8 +181,9 @@ class RatesConfig:
         return out
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
+    """A scenario; records are immutable, so derive variants with ``_replace``."""
+
     communities: tuple
     steps: int
     seed: int
@@ -186,9 +191,9 @@ class ScenarioConfig:
     name: str = "scenario"
     grant: Optional[int] = None
     community: Optional[int] = None
-    joins: Mapping = field(default_factory=dict)  # step -> ((agent, currency), ...)
+    joins: Mapping = NO_ENTRIES  # step -> ((agent, currency), ...)
     join_grant: int = 0
-    rates: RatesConfig = field(default_factory=RatesConfig)
+    rates: RatesConfig = RatesConfig()
     k_eq: int = 1
     settlement: bool = False
     trade_noise: int = 0
@@ -372,7 +377,7 @@ def _mask_weights(source: Optional[Mapping], memberships: Mapping, k: int) -> di
                 float(row.get(i, 0.0)) if i in mine else 0.0
                 for i in range(1, k + 1)
             ]
-            total = sum(masked)
+            total = ordered_sum(masked)
             if total > 0.0:
                 weights = [w / total for w in masked]
         if weights is None:
@@ -482,7 +487,7 @@ def validate_config(config: ScenarioConfig) -> list:
                     coin_exchange_rates(matrix, [1] * k)
                 except CurrencyNetError as exc:
                     err("rates", f"invalid mrs_matrix: {exc}")
-    elif (rates.tol, rates.max_iter) != (RatesConfig.tol, RatesConfig.max_iter):
+    elif rates.tol != RatesConfig().tol or rates.max_iter != RatesConfig().max_iter:
         info(
             "solver",
             "the equilibrium is solved exactly; rates.tol and rates.max_iter are ignored",
@@ -597,34 +602,43 @@ def validate_config(config: ScenarioConfig) -> list:
 # run artifacts
 
 
-@dataclass(frozen=True)
-class RatesEvent:
+class RatesEvent(NamedTuple):
     t: int
     mrs: tuple            # row tuples
     ex: tuple
     prices: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
-class SolverEvent:
+class SolverEvent(NamedTuple):
     t: int
     iterations: int       # always 1: the equilibrium is one linear solve
     residual: float       # max |M p - p|
     prices: tuple
 
 
-@dataclass
 class RunResult:
-    config: ScenarioConfig
-    history: History
-    diagnostics: list
-    rates_timeline: list          # index = step t; matrix in force at t
-    rates_log: list               # RatesEvent per equilibration
-    solver_log: list              # SolverEvent per endogenous equilibration
-    ex12: Optional[list]          # in-force rate 1->2 per step, index t-1
-    a_over_t: Optional[list]      # fraction of steps with ex12 >= 1, index t-1
-    final_network: CurrencyNetwork
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(
+        self,
+        config: ScenarioConfig,
+        history: History,
+        diagnostics: list,
+        rates_timeline: list,          # index = step t; matrix in force at t
+        rates_log: list,               # RatesEvent per equilibration
+        solver_log: list,              # SolverEvent per endogenous equilibration
+        ex12: Optional[list],          # in-force rate 1->2 per step, index t-1
+        a_over_t: Optional[list],      # fraction of steps with ex12 >= 1, index t-1
+        final_network: CurrencyNetwork,
+    ):
+        self.config = config
+        self.history = history
+        self.diagnostics = diagnostics
+        self.rates_timeline = rates_timeline
+        self.rates_log = rates_log
+        self.solver_log = solver_log
+        self.ex12 = ex12
+        self.a_over_t = a_over_t
+        self.final_network = final_network
+        self._memo: dict = {}
 
     def mrs12_series(self) -> list:
         return [(event.t, event.mrs[0][1]) for event in self.rates_log]
@@ -698,25 +712,30 @@ class RunResult:
 
 
 def _justice_values(agents, step, cashflow, weights) -> list:
-    """Each agent's balance minus cashflow, weighted and diluted, at ``step``."""
+    """Each agent's balance minus cashflow, weighted and diluted, at ``step``.
+
+    The currencies are added left to right, like ``economy.ordered_sum``.
+    """
     balances = step.balances
     if weights is None:
         total = step.coin_counts[1]
         if not total:
             return [math.nan] * len(agents)
         return [(balances.get((a, 1), 0) - cashflow[(a, 1)]) / total for a in agents]
-    currencies = range(1, len(weights) + 1)
-    denominator = sum(step.coin_counts[i] * weights[i - 1] for i in currencies)
+    weighted = tuple(enumerate(weights, 1))
+    counts = step.coin_counts
+    denominator = 0.0
+    for i, w in weighted:
+        denominator += counts[i] * w
     if not denominator:
         return [math.nan] * len(agents)
-    return [
-        sum(
-            (balances.get((a, i), 0) - cashflow[(a, i)]) * weights[i - 1]
-            for i in currencies
-        )
-        / denominator
-        for a in agents
-    ]
+    values = []
+    for a in agents:
+        total = 0.0
+        for i, w in weighted:
+            total += (balances.get((a, i), 0) - cashflow[(a, i)]) * w
+        values.append(total / denominator)
+    return values
 
 
 # --------------------------------------------------------------------------

@@ -8,22 +8,29 @@ the communities that harbour them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .accounting import History
-from .economy import ExchangeRateMatrix, fractional_equity
+from .economy import ExchangeRateMatrix, fractional_equity, ordered_sum
 from .errors import UnknownAgentError, UnknownPersonError
 from .ledger import CurrencyCommunity, CurrencyNetwork
 
 
-@dataclass(frozen=True)
-class OwnershipMap:
+class _OwnershipFields(NamedTuple):
     pairs: frozenset  # (person, agent)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_owners", _index(self.pairs, key=1, value=0))
-        object.__setattr__(self, "_agents", _index(self.pairs, key=0, value=1))
+
+class OwnershipMap(_OwnershipFields):
+    # no __slots__: the two indexes live in the instance dict
+    def __new__(cls, pairs: frozenset):
+        self = super().__new__(cls, pairs)
+        self._owners = _index(pairs, key=1, value=0)
+        self._agents = _index(pairs, key=0, value=1)
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # so that _replace builds the indexes too
 
     @classmethod
     def from_pairs(cls, pairs) -> "OwnershipMap":
@@ -57,8 +64,7 @@ def _index(pairs, key, value):
     return {k: frozenset(v) for k, v in out.items()}
 
 
-@dataclass(frozen=True)
-class AgentClassification:
+class AgentClassification(NamedTuple):
     unique: bool    # exactly one owner
     singular: bool  # its owner(s) operate no other agent
     genuine: bool   # unique and singular
@@ -144,7 +150,6 @@ def owner_equity(
     return total
 
 
-@dataclass
 class SybilLocalityReport:
     """Per-owner value shares over a run, network-wide and per currency.
 
@@ -155,10 +160,17 @@ class SybilLocalityReport:
     number of agents it operates, inside the community that harbours them.
     """
 
-    owners: tuple
-    genuine: dict                 # community index -> bool
-    network_share: dict           # person -> list of values per step
-    currency_share_final: dict    # person -> {currency: final share}
+    def __init__(
+        self,
+        owners: tuple,
+        genuine: dict,                 # community index -> bool
+        network_share: dict,           # person -> list of values per step
+        currency_share_final: dict,    # person -> {currency: final share}
+    ):
+        self.owners = owners
+        self.genuine = genuine
+        self.network_share = network_share
+        self.currency_share_final = currency_share_final
 
     def final_network_share(self, person: str) -> float:
         return self.network_share[person][-1]
@@ -188,12 +200,12 @@ def sybil_locality_report(
         t = step.t
         ex = rates_by_step[t] if t < len(rates_by_step) else rates_by_step[-1]
         col = ex.column(reference)
-        denominator = sum(
+        denominator = ordered_sum(
             step.coin_counts[i] * col[i - 1] for i in currencies
         )
         person_value = dict.fromkeys(persons, 0.0)
         for a in agents:
-            value = sum(
+            value = ordered_sum(
                 (step.balances.get((a, i), 0) - cashflow[(a, i)]) * col[i - 1]
                 for i in currencies
             )
@@ -210,7 +222,7 @@ def sybil_locality_report(
         per_currency = {}
         for i in currencies:
             count = final.coin_counts[i]
-            owned = sum(
+            owned = ordered_sum(
                 (final.balances.get((a, i), 0) - cashflow[(a, i)]) * weight
                 for a in agents
                 for q, weight in split[a]

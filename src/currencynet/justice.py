@@ -10,11 +10,10 @@ diluting; arbitrage-freeness makes the result independent of the reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .accounting import History
-from .economy import ExchangeRateMatrix
+from .economy import ExchangeRateMatrix, ordered_sum
 from .errors import BadIndexError, ConditionViolatedError, InvalidRatesError, TooShortError
 
 
@@ -103,8 +102,7 @@ def predicted_mint_fraction(v1, v2, mrs_limit: float) -> float:
     return (mrs_limit * (only_2 + shared) - only_1) / (shared * (1.0 + mrs_limit))
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Trailing-window summary of a metric series."""
 
     series: tuple
@@ -123,7 +121,7 @@ def convergence_report(series: Sequence[float], window_frac: float = 0.1) -> Con
         raise TooShortError(f"need at least 2 points, got {len(values)}")
     window = max(1, int(len(values) * window_frac))
     tail = values[-window:]
-    mean = sum(tail) / len(tail)
+    mean = ordered_sum(tail) / len(tail)
     return ConvergenceReport(
         series=tuple(values),
         window=window,
@@ -132,7 +130,6 @@ def convergence_report(series: Sequence[float], window_frac: float = 0.1) -> Con
     )
 
 
-@dataclass
 class JusticeReport:
     """Per-agent justice series with trailing-limit estimates.
 
@@ -140,11 +137,19 @@ class JusticeReport:
     per-step targets 1/|V_t| are kept alongside for the finite-time notion.
     """
 
-    target: float
-    window: int
-    series: Mapping           # agent -> list of values, index = step
-    step_targets: Sequence    # 1/|V_t| per step
-    estimates: dict = field(default_factory=dict)  # agent -> ConvergenceReport
+    def __init__(
+        self,
+        target: float,
+        window: int,
+        series: Mapping,           # agent -> list of values, index = step
+        step_targets: Sequence,    # 1/|V_t| per step
+        estimates: Optional[dict] = None,  # agent -> ConvergenceReport
+    ):
+        self.target = target
+        self.window = window
+        self.series = series
+        self.step_targets = step_targets
+        self.estimates = {} if estimates is None else estimates
 
     def max_final_deviation(self) -> float:
         return max(

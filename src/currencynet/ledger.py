@@ -9,7 +9,6 @@ these orders so that runs are reproducible.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import (
@@ -35,26 +34,38 @@ class Coin(NamedTuple):
         return cls(int(currency), int(serial))
 
 
-@dataclass(frozen=True)
-class CurrencyCommunity:
-    """One currency: its member agents, its coin set."""
-
+class _CommunityFields(NamedTuple):
     index: int
     members: frozenset
     coins: frozenset
 
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError(f"community {self.index} must have at least one member")
-        for coin in self.coins:
-            if coin.currency != self.index:
+
+class CurrencyCommunity(_CommunityFields):
+    """One currency: its member agents, its coin set."""
+
+    __slots__ = ()
+
+    def __new__(cls, index: int, members: frozenset, coins: frozenset):
+        if not members:
+            raise ValueError(f"community {index} must have at least one member")
+        for coin in coins:
+            if coin.currency != index:
                 raise ValueError(
-                    f"coin {coin.token()} does not belong to currency {self.index}"
+                    f"coin {coin.token()} does not belong to currency {index}"
                 )
+        return super().__new__(cls, index, members, coins)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # so that _replace validates too
 
 
-@dataclass(frozen=True)
-class CurrencyNetwork:
+class _NetworkFields(NamedTuple):
+    communities: tuple
+    holder: Mapping
+
+
+class CurrencyNetwork(_NetworkFields):
     """k communities with disjoint coin sets plus the global holder map.
 
     Communities must be indexed 1..k in order. Disjointness is structural:
@@ -62,24 +73,28 @@ class CurrencyNetwork:
     accepts coins of its own currency.
     """
 
-    communities: tuple
-    holder: Mapping
+    __slots__ = ()
 
-    def __post_init__(self):
-        indices = [c.index for c in self.communities]
+    def __new__(cls, communities: tuple, holder: Mapping):
+        indices = [c.index for c in communities]
         if indices != list(range(1, len(indices) + 1)):
             raise ValueError("communities must be indexed 1..k in order")
-        object.__setattr__(self, "holder", dict(self.holder))
+        holder = dict(holder)
         all_coins = set()
-        for community in self.communities:
+        for community in communities:
             all_coins.update(community.coins)
-        if all_coins != set(self.holder):
+        if all_coins != set(holder):
             raise ValueError("holder map must cover exactly the network's coins")
-        for coin, agent in self.holder.items():
-            if agent not in self.communities[coin.currency - 1].members:
+        for coin, agent in holder.items():
+            if agent not in communities[coin.currency - 1].members:
                 raise ValueError(
                     f"holder {agent!r} of coin {coin.token()} is outside community {coin.currency}"
                 )
+        return super().__new__(cls, communities, holder)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # so that _replace validates too
 
     @property
     def k(self) -> int:

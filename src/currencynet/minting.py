@@ -7,7 +7,6 @@ currencies. Ties always break toward the minimum currency index.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .economy import ExchangeRateMatrix, PreferenceProfile
@@ -15,57 +14,95 @@ from .errors import InvalidRatesError, NotMemberError
 from .ledger import Coin, CurrencyNetwork
 
 
-@dataclass(frozen=True)
-class Myopic:
+class _Rule:
+    """An immutable regime or strategy, equal only to the same class with equal fields.
+
+    Subclasses name their fields in ``__slots__`` and set them in ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash((type(self), self._values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Myopic(_Rule):
     """Mint the currency whose coin is currently most valuable."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Defensive:
+
+class Defensive(_Rule):
     """Mint the currency the agent currently holds the least of."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Egocentric:
+
+class Egocentric(_Rule):
     """Mint the currency with the highest marginal utility for the agent."""
 
-
-@dataclass(frozen=True)
-class FixedCurrency:
-    currency: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class UniformRandom:
-    pass
+class FixedCurrency(_Rule):
+    __slots__ = ("currency",)
+
+    def __init__(self, currency: int):
+        object.__setattr__(self, "currency", currency)
+
+
+class UniformRandom(_Rule):
+    __slots__ = ()
 
 
 Strategy = Union[Myopic, Defensive, Egocentric, FixedCurrency, UniformRandom]
 
 
-@dataclass(frozen=True)
-class EqualBirthGrant:
+class EqualBirthGrant(_Rule):
     """Each agent mints a fixed number of coins once, when it joins."""
 
-    coins: int
+    __slots__ = ("coins",)
 
-    def __post_init__(self):
-        if self.coins <= 0:
+    def __init__(self, coins: int):
+        if coins <= 0:
             raise ValueError("birth grant must be positive")
+        object.__setattr__(self, "coins", coins)
 
 
-@dataclass(frozen=True)
-class EgalitarianSingle:
+class EgalitarianSingle(_Rule):
     """Every member of one community mints one coin per step."""
 
-    community: int
+    __slots__ = ("community",)
+
+    def __init__(self, community: int):
+        object.__setattr__(self, "community", community)
 
 
-@dataclass(frozen=True)
-class JointEgalitarian:
+class JointEgalitarian(_Rule):
     """Every agent mints exactly one coin per step, in one of its currencies."""
 
-    strategy: Strategy
+    __slots__ = ("strategy",)
+
+    def __init__(self, strategy: Strategy):
+        object.__setattr__(self, "strategy", strategy)
 
 
 MintingRegime = Union[EqualBirthGrant, EgalitarianSingle, JointEgalitarian]

@@ -9,7 +9,7 @@ import csv
 import io
 import json
 import math
-import platform
+import sys
 from pathlib import Path
 
 from . import __version__
@@ -188,7 +188,7 @@ def write_manifest(config: ScenarioConfig, path, files) -> None:
         "steps": config.steps,
         "package": "currencynet",
         "version": __version__,
-        "python": platform.python_version(),
+        "python": sys.version.split()[0],
         "files": sorted(files),
     }
     with open(path, "w") as handle:

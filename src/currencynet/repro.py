@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .economy import coin_exchange_rates, mrs_matrix, solve_equilibrium
+from .economy import coin_exchange_rates, mrs_matrix, ordered_sum, solve_equilibrium
 from .engine import run_scenario
 from .errors import UnknownSuiteError
 from .justice import convergence_report
@@ -17,8 +17,7 @@ from .identity import OwnershipMap, sybil_locality_report
 from . import scenarios
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     suite: str
     name: str
     value: float
@@ -139,9 +138,9 @@ def suite_solver() -> list:
         for _ in range(20):
             n = rng.randrange(2, 6)
             weights = [[rng.random() + 0.05 for _ in range(k)] for _ in range(n)]
-            weights = [[w / sum(row) for w in row] for row in weights]
+            weights = [[w / ordered_sum(row) for w in row] for row in weights]
             endowment = [[rng.random() + 0.01 for _ in range(k)] for _ in range(n)]
-            totals = [sum(row[i] for row in endowment) for i in range(k)]
+            totals = [ordered_sum(row[i] for row in endowment) for i in range(k)]
             endowment = [[e / total for e, total in zip(row, totals)] for row in endowment]
             counts = [rng.randrange(1, 500) for _ in range(k)]
             solution = solve_equilibrium(endowment, weights)

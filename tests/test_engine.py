@@ -1,6 +1,5 @@
 import gc
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -348,8 +347,8 @@ class TestValidateConfig:
 
     def test_disjoint_endogenous_economy_rejected(self):
         # no agent belongs to both communities, so the prices are indeterminate
-        config = replace(
-            scenarios.disjoint_pair_control(steps=10), rates=RatesConfig(mode="endogenous")
+        config = scenarios.disjoint_pair_control(steps=10)._replace(
+            rates=RatesConfig(mode="endogenous")
         )
         diags = validate_config(config)
         assert [d.code for d in diags if d.level == "error"] == ["degenerate_economy"]
@@ -359,7 +358,7 @@ class TestValidateConfig:
         # currency 2: memberships link the currencies but the weights do not
         config = scenarios.pair_convergence_endogenous(steps=50)
         preferences = dict(config.preferences, b={1: 1.0}, c={1: 1.0})
-        diags = validate_config(replace(config, preferences=preferences))
+        diags = validate_config(config._replace(preferences=preferences))
         assert [(d.level, d.code) for d in diags if d.level != "info"] == [
             ("warning", "degenerate_economy")
         ]
@@ -387,8 +386,7 @@ class TestValidateConfig:
         assert not any(
             d.code == "solver" for d in validate_config(scenarios.pair_convergence_endogenous())
         )
-        config = replace(
-            scenarios.pair_convergence_endogenous(),
+        config = scenarios.pair_convergence_endogenous()._replace(
             rates=RatesConfig(mode="endogenous", tol=1e-15, max_iter=1),
         )
         diags = validate_config(config)

@@ -1,5 +1,6 @@
 import csv
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,13 @@ import pytest
 from currencynet import scenarios
 from currencynet.accounting import History
 from currencynet.economy import ExchangeRateMatrix, coin_exchange_rates, mrs_matrix
-from currencynet.engine import CommunityConfig, RatesConfig, ScenarioConfig, run_scenario
+from currencynet.engine import (
+    CommunityConfig,
+    RatesConfig,
+    ScenarioConfig,
+    _justice_values,
+    run_scenario,
+)
 from currencynet.errors import ConditionViolatedError, TooShortError
 from currencynet.justice import (
     convergence_condition,
@@ -202,6 +209,25 @@ class TestConvergenceReport:
     def test_too_short(self):
         with pytest.raises(TooShortError):
             convergence_report([1.0])
+
+    def test_trailing_mean_adds_left_to_right(self):
+        # the builtin sum compensates rounding from Python 3.12 on and would
+        # give 1/3 here; left to right, 1e16 + 1.0 rounds back to 1e16
+        report = convergence_report([0.0] * 27 + [1e16, 1.0, -1e16])
+        assert report.window == 3
+        assert report.trailing_mean == 0.0
+
+    def test_network_justice_values_add_left_to_right(self):
+        # a holds one coin of currencies 1, 3 and 4, b one coin of 2; left to
+        # right, the denominator's 1e16 + 1.0 rounds back to 1e16, so it ends
+        # at 1.0 and both values are 1.0 (a compensated sum gives 2.0 and 1/2)
+        step = SimpleNamespace(
+            balances={("a", 1): 1, ("a", 3): 1, ("a", 4): 1, ("b", 2): 1},
+            coin_counts={1: 1, 2: 1, 3: 1, 4: 1},
+        )
+        cashflow = dict.fromkeys([(a, i) for a in "ab" for i in range(1, 5)], 0)
+        weights = [1e16, 1.0, -1e16, 1.0]
+        assert _justice_values(("a", "b"), step, cashflow, weights) == [1.0, 1.0]
 
 
 def settled_triple(steps=30):

@@ -7,7 +7,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from test_justice import settled_triple
@@ -40,8 +39,7 @@ print(json.dumps({"codes": codes, "accounting_ok": report.ok, "files": files}))
 
 def test_run_check_and_job_without_numpy(tmp_path):
     # k = 3 endogenous rates with settlement and snapshots, one owner of two agents
-    config = replace(
-        settled_triple(steps=20),
+    config = settled_triple(steps=20)._replace(
         owners=(("P_a", "a"), ("P_bc", "b"), ("P_bc", "c"), ("P_d", "d"), ("P_e", "e"),
                 ("P_f", "f")),
     )
