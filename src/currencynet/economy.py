@@ -8,7 +8,9 @@ MRS by the coin-volume ratio gives per-coin exchange rates.
 
 The equilibrium prices are the stationary vector of the column-stochastic
 M = W^T E (weights W, endowment fractions E), found by one linear solve;
-they are determinate exactly when M is irreducible.
+they are determinate exactly when M is irreducible. Which coin is worth most
+is decided exactly, from integer market sums (see
+:func:`ranking_from_market_sums`), so mint choices never hang on rounding.
 
 Matrices are nested tuples or lists of Python floats. The economies have a
 handful of currencies, so every k x k computation here is cheap in plain
@@ -63,9 +65,13 @@ class ExchangeRateMatrix:
     ``ex`` is stored as a tuple of row tuples of floats. Validated at
     construction: unit diagonal (exactly), arbitrage-free chains and
     reciprocal pairs within RATE_TOL. Immutable; equal only to itself.
+
+    ``ranking`` lists the currencies from the most to the least valuable
+    coin, equal values in index order, when the matrix was built with an
+    exactly decided ranking (:func:`coin_exchange_rates`); otherwise None.
     """
 
-    __slots__ = ("ex",)
+    __slots__ = ("ex", "ranking")
 
     def __init__(self, ex):
         try:
@@ -73,6 +79,7 @@ class ExchangeRateMatrix:
         except TypeError:
             raise InvalidRatesError("rate matrix must be square") from None
         object.__setattr__(self, "ex", ex)
+        object.__setattr__(self, "ranking", None)
         k = len(ex)
         if any(len(row) != k for row in ex):
             raise InvalidRatesError("rate matrix must be square")
@@ -126,7 +133,9 @@ class ExchangeRateMatrix:
 
     @classmethod
     def ones(cls, k: int) -> "ExchangeRateMatrix":
-        return cls(((1.0,) * k,) * k)
+        matrix = cls(((1.0,) * k,) * k)
+        object.__setattr__(matrix, "ranking", tuple(range(1, k + 1)))
+        return matrix
 
 
 class _PreferenceFields(NamedTuple):
@@ -242,6 +251,62 @@ def _solve_linear(system: list, rhs: list) -> list:
     return x
 
 
+def market_equilibrium(market: list, patterns: Optional[dict] = None) -> tuple:
+    """(prices, residual) of the economy with market matrix ``market``.
+
+    ``market`` is M = W^T E as k row lists of Python floats, read but not
+    copied; its columns must sum to one. The prices are one solve of
+    (M - I) p = 0 with a row replaced by sum(p) = 1, normalized to sum 1;
+    the residual is max |M p - p|. Raises DegenerateEconomyError when M is
+    reducible or a price comes out zero. A caller that solves many times
+    can pass the same dict as ``patterns``: it memoizes the reducibility
+    check per positivity pattern of M.
+    """
+    k = len(market)
+    currencies = range(k)
+    for j in currencies:
+        total = 0.0
+        for row in market:
+            total += row[j]
+        if abs(total - 1.0) > 1e-6:
+            raise ValueError(f"market matrix column {j + 1} sums to {total}, not 1")
+    if patterns is None:
+        patterns = {}
+    pattern = tuple([tuple([m > 0.0 for m in row]) for row in market])
+    connected = patterns.get(pattern)
+    if connected is None:
+        connected = patterns[pattern] = strongly_connected(pattern)
+    if not connected:
+        raise DegenerateEconomyError("prices are indeterminate: the economy is reducible")
+    # the diagonal of M - I is minus each column's off-diagonal mass, which
+    # equals M_ii - 1 for a column-stochastic M but avoids its cancellation
+    system = [list(row) for row in market]
+    for j in currencies:
+        mass = 0.0
+        for i in currencies:
+            if i != j:
+                mass += market[i][j]
+        system[j][j] = -mass
+    system[-1] = [1.0] * k
+    prices = _solve_linear(system, [0.0] * (k - 1) + [1.0])
+    residual = max([abs(_dot(row, prices) - p) for row, p in zip(market, prices)])
+    if min(prices) <= 1e-12:
+        dead = [i + 1 for i in currencies if prices[i] <= 1e-12]
+        raise DegenerateEconomyError(
+            f"currencies priced at zero (valued only by zero-wealth agents): {dead}"
+        )
+    return tuple(prices), residual
+
+
+def demand(endowment, weights, prices) -> list:
+    """Each agent's Cobb-Douglas demand at ``prices``: w_i (e . p) / p_i per currency."""
+    allocation = []
+    for w, e in zip(weights, endowment):
+        wealth = _dot(e, prices)
+        allocation.append([w_i * wealth / p for w_i, p in zip(w, prices)])
+    return allocation
+
+
 def solve_equilibrium(endowment, weights) -> EquilibriumResult:
     """Competitive equilibrium of the Cobb-Douglas diluted-portfolio economy.
 
@@ -249,21 +314,17 @@ def solve_equilibrium(endowment, weights) -> EquilibriumResult:
     one), ``weights`` the matching Cobb-Douglas weight matrix, each given as
     nested sequences or a 2-d array. Market clearing,
     p_i = sum_v weights[v][i] * (endowment[v] . p), reads p = M p with the
-    column-stochastic M = weights^T endowment, so the prices are one solve
-    of (M - I) p = 0 with a row replaced by sum(p) = 1. They are unique and
-    positive exactly when the graph of M > 0 is strongly connected;
-    otherwise DegenerateEconomyError is raised. The allocation is each
-    agent's demand at those prices.
+    column-stochastic M = weights^T endowment, solved by
+    :func:`market_equilibrium`. The prices are unique and positive exactly
+    when the graph of M > 0 is strongly connected; otherwise
+    DegenerateEconomyError is raised. The allocation is each agent's demand
+    at those prices.
     """
-    return solve_float_rows(_float_rows(endowment), _float_rows(weights))
-
-
-def solve_float_rows(endowment: list, weights: list) -> EquilibriumResult:
-    """:func:`solve_equilibrium` on lists of rows of Python floats, read but not copied."""
+    endowment = _float_rows(endowment)
+    weights = _float_rows(weights)
     k = len(endowment[0]) if endowment else 0
     if len(weights) != len(endowment) or set(map(len, endowment + weights)) != {k} or not k:
         raise ValueError("endowment and weights must have matching shapes")
-    currencies = range(k)
     column_sums = [sum(column) for column in zip(*endowment)]
     if any(abs(total - 1.0) > 1e-6 for total in column_sums):
         raise ValueError(f"endowment columns must sum to 1, got {column_sums}")
@@ -280,46 +341,118 @@ def solve_float_rows(endowment: list, weights: list) -> EquilibriumResult:
                 for j, e_j in enumerate(e):
                     row[j] += w_i * e_j
         market.append(row)
-    if not strongly_connected([[m > 0.0 for m in row] for row in market]):
-        raise DegenerateEconomyError("prices are indeterminate: the economy is reducible")
-    # the diagonal of M - I is minus each column's off-diagonal mass, which
-    # equals M_ii - 1 for a column-stochastic M but avoids its cancellation
-    system = [list(row) for row in market]
-    for j in currencies:
-        mass = 0.0
-        for i in currencies:
-            if i != j:
-                mass += market[i][j]
-        system[j][j] = -mass
-    system[-1] = [1.0] * k
-    prices = _solve_linear(system, [0.0] * (k - 1) + [1.0])
-    residual = max(abs(_dot(row, prices) - p) for row, p in zip(market, prices))
+    prices, residual = market_equilibrium(market)
+    return EquilibriumResult(prices, demand(endowment, weights, prices), residual)
 
-    dead = [i + 1 for i in currencies if prices[i] <= 1e-12]
-    if dead:
-        raise DegenerateEconomyError(
-            f"currencies priced at zero (valued only by zero-wealth agents): {dead}"
-        )
-    allocation = []
-    for w, e in zip(weights, endowment):
-        wealth = _dot(e, prices)
-        allocation.append([w_i * wealth / p for w_i, p in zip(w, prices)])
-    return EquilibriumResult(tuple(prices), allocation, residual)
+
+def dyadic_integers(values) -> tuple:
+    """(numerators, D): the floats ``values`` as integers over one power of two D.
+
+    Every float is a dyadic rational, so ``numerators[i] / D == values[i]``
+    holds exactly.
+    """
+    ratios = [float(x).as_integer_ratio() for x in values]
+    denominator = max((d for _, d in ratios), default=1)
+    return [n * (denominator // d) for n, d in ratios], denominator
+
+
+def _integer_determinant(matrix: list) -> int:
+    """Exact determinant of a square integer matrix (Bareiss elimination); overwrites it."""
+    n = len(matrix)
+    sign = 1
+    previous = 1
+    for c in range(n - 1):
+        if not matrix[c][c]:
+            swap = next((r for r in range(c + 1, n) if matrix[r][c]), None)
+            if swap is None:
+                return 0
+            matrix[c], matrix[swap] = matrix[swap], matrix[c]
+            sign = -sign
+        pivot = matrix[c][c]
+        top = matrix[c]
+        for r in range(c + 1, n):
+            row = matrix[r]
+            lead = row[c]
+            for j in range(c + 1, n):
+                row[j] = (row[j] * pivot - lead * top[j]) // previous
+        previous = pivot
+    return sign * matrix[-1][-1] if n else 1
+
+
+def _ranking(values) -> tuple:
+    """Currency indices from the largest of ``values`` down, equal values in index order."""
+    return tuple(sorted(range(1, len(values) + 1), key=lambda i: (-values[i - 1], i)))
+
+
+def ranking_from_market_sums(sums: list) -> tuple:
+    """Currencies from the most to the least valuable coin, decided exactly.
+
+    ``sums[j][i]`` is the integer S_ij = sum_a W_ai * balance(a, j), with the
+    weights scaled by one common denominator D, so that the market matrix
+    is M_ij = S_ij / (D c_j) for coin counts c. By the Markov chain tree
+    theorem the price p_r is proportional to c_r T_r / prod(c), where T_r is
+    the S-weight of the spanning trees directed into r: the minor at (r, r)
+    of the Laplacian L_ij = -S_ij, L_jj = sum_{i != j} S_ij. So one coin's
+    value p_r / c_r orders like the integer T_r; for k = 2, T = (S_12, S_21).
+    Equal values go to the lower index.
+    """
+    k = len(sums)
+    if k == 2:
+        return (2, 1) if sums[0][1] > sums[1][0] else (1, 2)
+    if k == 3:  # the three trees into each root, spelled out
+        (_, s21, s31), (s12, _, s32), (s13, s23, _) = sums
+        trees = [
+            s12 * s13 + s12 * s23 + s32 * s13,
+            s21 * s23 + s21 * s13 + s31 * s23,
+            s31 * s32 + s31 * s12 + s21 * s32,
+        ]
+    else:
+        laplacian = [[-sums[j][i] for j in range(k)] for i in range(k)]
+        for j in range(k):
+            laplacian[j][j] = sum(sums[j]) - sums[j][j]
+        trees = [
+            _integer_determinant(
+                [row[:r] + row[r + 1:] for row in laplacian[:r] + laplacian[r + 1:]]
+            )
+            for r in range(k)
+        ]
+    return _ranking(trees)
+
+
+def ranking_from_mrs(mrs, coin_counts: Sequence[int]) -> tuple:
+    """Currencies from the most to the least valuable coin under a given MRS, exactly.
+
+    The first row gives mrs[0][i] = p_1 / p_i, so one coin of currency i is
+    worth p_i / c_i, proportional to 1 / (mrs[0][i] c_i): the smallest
+    product wins, and equal values go to the lower index. For k = 2 and
+    mrs[0][1] = m, currency 2 wins exactly when c_1 > m c_2.
+    """
+    numerators, _ = dyadic_integers(mrs[0])
+    return _ranking([-n * c for n, c in zip(numerators, coin_counts)])
 
 
 def mrs_matrix(prices: Sequence[float]) -> tuple:
     """Marginal rates of substitution between currencies: mrs[i][j] = p_i / p_j."""
     p = [float(x) for x in prices]
-    if not all(math.isfinite(x) and x > 0.0 for x in p):
+    if not all(0.0 < x < math.inf for x in p):
         raise NonPositivePriceError(f"prices must be positive, got {p}")
-    return tuple(tuple(pi / pj for pj in p) for pi in p)
+    return tuple([tuple([pi / pj for pj in p]) for pi in p])
 
 
-def coin_exchange_rates(mrs, coin_counts: Sequence[int]) -> ExchangeRateMatrix:
+def coin_exchange_rates(
+    mrs, coin_counts: Sequence[int], ranking: Optional[Sequence[int]] = None
+) -> ExchangeRateMatrix:
     """Per-coin rates: the currency-level MRS normalized by coin volumes.
 
     ex[i][j] = mrs[i][j] / (|C_i| / |C_j|), computed so that a volume ratio
     exactly equal to the MRS yields a rate of exactly 1.
+
+    Without ``ranking`` the result passes the full ExchangeRateMatrix
+    validation. With one (currencies from the most to the least valuable
+    coin, as :func:`ranking_from_market_sums` or :func:`ranking_from_mrs`
+    decide it) the caller vouches that ``mrs`` holds ratios of positive
+    prices, arbitrage-free up to rounding: the rates are then only checked
+    to be finite and positive, and the ranking is attached to the matrix.
     """
     counts = list(coin_counts)
     k = len(counts)
@@ -334,12 +467,21 @@ def coin_exchange_rates(mrs, coin_counts: Sequence[int]) -> ExchangeRateMatrix:
     for i in range(k):
         if mrs[i][i] != 1.0:
             raise InvalidRatesError("MRS diagonal must be 1")
-    return ExchangeRateMatrix(
-        tuple(
-            tuple(row[j] / (counts[i] / counts[j]) for j in range(k))
-            for i, row in enumerate(mrs)
-        )
-    )
+    ex = tuple([
+        tuple([m_ij / (c_i / c_j) for m_ij, c_j in zip(row, counts)])
+        for row, c_i in zip(mrs, counts)
+    ])
+    if ranking is None:
+        return ExchangeRateMatrix(ex)
+    ranking = tuple(ranking)
+    if sorted(ranking) != list(range(1, k + 1)):
+        raise InvalidRatesError(f"ranking {ranking} is not an order of currencies 1..{k}")
+    if not all(0.0 < x < math.inf for row in ex for x in row):
+        raise InvalidRatesError("rates must be finite and positive")
+    matrix = object.__new__(ExchangeRateMatrix)
+    object.__setattr__(matrix, "ex", ex)
+    object.__setattr__(matrix, "ranking", ranking)
+    return matrix
 
 
 def fractional_equity(network: CurrencyNetwork, ex: ExchangeRateMatrix, v: str) -> float:

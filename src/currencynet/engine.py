@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import gc
-import hashlib
 import json
 import math
 import random
@@ -26,16 +25,20 @@ from .accounting import History, HistoryStep
 from .economy import (
     ExchangeRateMatrix,
     coin_exchange_rates,
+    demand,
+    dyadic_integers,
     largest_remainder_targets,
     mrs_matrix,
     ordered_sum,
+    ranking_from_market_sums,
+    ranking_from_mrs,
     strongly_connected,
 )
-# the engine's rows are float lists already, so it calls the solver core
-# without the conversion; the public name stays, so wrappers of
+# the engine keeps the market sums itself, so it calls the solver core on
+# the market matrix; the public name stays, so wrappers of
 # engine.solve_equilibrium see every solve
-from .economy import solve_float_rows as solve_equilibrium
-from .errors import ConfigError, CurrencyNetError
+from .economy import market_equilibrium as solve_equilibrium
+from .errors import ConfigError, CurrencyNetError, DegenerateEconomyError
 from .justice import (
     JusticeReport,
     build_justice_report,
@@ -317,6 +320,8 @@ def load_scenario(path) -> ScenarioConfig:
 
 
 def config_hash(config: ScenarioConfig) -> str:
+    import hashlib  # costs about 3.5 ms, so only callers that hash pay it
+
     canonical = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -819,6 +824,21 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             balance[(a, i)] = 0
             holdings[(a, i)] = {}
 
+    # endogenous runs keep the market sums exactly: sums[j - 1][i - 1] is
+    # S_ij = sum_a W_ai * balance(a, j), with each weight epoch's weights
+    # scaled to integers over one power of two (``scaled`` per agent), so
+    # the market matrix is M_ij = S_ij / (D c_j) in any order of agents
+    sums: Optional[list] = None
+    scaled: dict = {}
+    columns = range(k)
+
+    def book(agent, i, sign):
+        # one coin of currency i more (sign 1) or less (-1) held by agent
+        column = sums[i - 1]
+        row = scaled[agent]
+        for x in columns:
+            column[x] += sign * row[x]
+
     def mint_coin(agent, i):
         coin = (i, count[i])
         count[i] += 1
@@ -826,6 +846,8 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         holder[coin] = agent
         holdings[(agent, i)][coin] = None
         balance[(agent, i)] += 1
+        if sums is not None:
+            book(agent, i, 1)
 
     for cc in config.communities:
         for agent in sorted(cc.initial_coins):
@@ -850,18 +872,28 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     weights_cache: dict = {}
     membership_epoch = 0
 
+    def weight_epoch(t):
+        return (membership_epoch, 0 if (raw_pre is not None and t < config.t_fix) else 1)
+
     def weights_at(t):
-        phase = 0 if (raw_pre is not None and t < config.t_fix) else 1
-        key = (membership_epoch, phase)
+        key = weight_epoch(t)
         cached = weights_cache.get(key)
         if cached is None:
-            source = raw_pre if phase == 0 else raw_post
+            source = raw_pre if key[1] == 0 else raw_post
             cached = _mask_weights(source, memberships, k)
             weights_cache[key] = cached
         return cached
 
+    track_sums = endogenous and k >= 2
+    sums_epoch = None
+    patterns: dict = {}  # the solver's reducibility check, per positivity pattern
+    denominator = 1
+    unvalued: list = []
+
     rates = ExchangeRateMatrix.ones(k)
     rates_timeline = [rates]
+    # the myopic choice per membership tuple under the rates in force
+    myopic_choice: dict = {}
     rates_log: list = []
     solver_log: list = []
     ex12_series: Optional[list] = [] if k == 2 else None
@@ -912,6 +944,9 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         balance[(payee, i)] += 1
         del holdings[(payer, i)][coin]
         holdings[(payee, i)][coin] = None
+        if sums is not None:
+            book(payer, i, -1)
+            book(payee, i, 1)
 
     # the membership record is shared by every step until the next join
     members_record = dict(members_frozen)
@@ -934,6 +969,24 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             members_record = dict(members_frozen)
             if single_regime:
                 single_keys = single_mint_keys()
+        if track_sums and weight_epoch(t) != sums_epoch:
+            # a new weight epoch (a join, or t_fix): rebuild the sums, so a
+            # joining agent has its scaled weights before its first coin
+            sums_epoch = weight_epoch(t)
+            weight_rows = weights_at(t)
+            flat, denominator = dyadic_integers(
+                [w for a in agents for w in weight_rows[a]]
+            )
+            scaled = {a: flat[n * k:(n + 1) * k] for n, a in enumerate(agents)}
+            sums = [[0] * k for _ in currencies]
+            for (a, j), held in balance.items():
+                if held:
+                    column = sums[j - 1]
+                    for x, w in enumerate(scaled[a]):
+                        column[x] += w * held
+            unvalued = [
+                i for i in currencies if not any(row[i - 1] for row in scaled.values())
+            ]
 
         start_len = {i: len(coins_by[i]) for i in currencies}
         minted: dict = {}
@@ -952,6 +1005,8 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                 bucket[coin] = None
                 balance[key] += 1
                 minted[key] = 1
+                if sums is not None:
+                    book(agent, si, 1)
             count[si] = serial
         elif isinstance(regime, EqualBirthGrant):
             for agent, i in sorted(joins_t):
@@ -964,7 +1019,9 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                 if len(mine) == 1 and not is_fixed:
                     choice = mine[0]
                 elif is_myopic:
-                    choice = most_valued_coin(in_force, mine)
+                    choice = myopic_choice.get(mine)
+                    if choice is None:
+                        choice = myopic_choice[mine] = most_valued_coin(in_force, mine)
                 elif is_defensive:
                     choice = min(mine, key=lambda i: (balance[(agent, i)], i))
                 elif is_random:
@@ -995,6 +1052,8 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                 balance[(agent, choice)] += 1
                 key = (agent, choice)
                 minted[key] = minted.get(key, 0) + 1
+                if sums is not None:
+                    book(agent, choice, 1)
 
         if config.join_grant and not isinstance(regime, EqualBirthGrant):
             for agent, i in sorted(joins_t):
@@ -1024,31 +1083,42 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         if k >= 2 and t % config.k_eq == 0 and all(count[i] > 0 for i in currencies):
             counts_now = [count[i] for i in currencies]
             if endogenous:
-                endowment = [
-                    [balance.get((a, i), 0) / count[i] for i in currencies]
-                    for a in agents
-                ]
-                weight_rows = weights_at(t)
-                weight_matrix = [weight_rows[a] for a in agents]
+                if unvalued:
+                    raise DegenerateEconomyError(
+                        f"step {t}: currencies valued by no agent: {unvalued}"
+                    )
+                scale = [denominator * c for c in counts_now]
+                market = [[sums[j][x] / scale[j] for j in columns] for x in columns]
                 try:
-                    solution = solve_equilibrium(endowment, weight_matrix)
+                    prices, residual = solve_equilibrium(market, patterns)
                 except CurrencyNetError as exc:
                     raise type(exc)(f"step {t}: {exc}") from None
-                mrs = mrs_matrix(solution.prices)
-                prices = solution.prices
-                solver_log.append(SolverEvent(t, 1, solution.residual, prices))
+                mrs = mrs_matrix(prices)
+                ranking = ranking_from_market_sums(sums)
+                solver_log.append(SolverEvent(t, 1, residual, prices))
             else:
                 mrs = exogenous_mrs(t)
                 prices = None
-            rates = coin_exchange_rates(mrs, counts_now)
+                ranking = ranking_from_mrs(mrs, counts_now)
+            rates = coin_exchange_rates(mrs, counts_now, ranking)
+            myopic_choice = {}
             rates_log.append(
                 RatesEvent(t, mrs, rates.ex, prices=prices)
             )
             if config.settlement and endogenous:
                 settled = True
+                weight_rows = weights_at(t)
+                allocation = demand(
+                    [
+                        [balance.get((a, i), 0) / count[i] for i in currencies]
+                        for a in agents
+                    ],
+                    [weight_rows[a] for a in agents],
+                    prices,
+                )
                 for col, i in enumerate(currencies):
                     targets = largest_remainder_targets(
-                        [row[col] for row in solution.allocation], count[i]
+                        [row[col] for row in allocation], count[i]
                     )
                     surplus = []
                     deficit = []

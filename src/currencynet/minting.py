@@ -111,9 +111,11 @@ MintingRegime = Union[EqualBirthGrant, EgalitarianSingle, JointEgalitarian]
 def most_valued_coin(rates: ExchangeRateMatrix, memberships: Iterable) -> int:
     """Currency among ``memberships`` whose coin has the highest exchange value.
 
-    The comparison uses one fixed reference column; arbitrage-freeness makes
-    the winner independent of which reference is used. Ties go to the
-    minimum currency index.
+    When ``rates`` carries an exact ranking (the engine attaches one to
+    every matrix it builds), the first member currency in it wins.
+    Otherwise the rates are compared in one fixed reference column;
+    arbitrage-freeness makes the winner independent of which reference is
+    used. Ties go to the minimum currency index.
     """
     candidates = sorted(memberships)
     if not candidates:
@@ -122,6 +124,8 @@ def most_valued_coin(rates: ExchangeRateMatrix, memberships: Iterable) -> int:
         raise InvalidRatesError(
             f"membership {candidates} outside the {rates.k}-currency rate matrix"
         )
+    if rates.ranking is not None:
+        return next(i for i in rates.ranking if i in candidates)
     best = candidates[0]
     best_value = rates.rate(best, 1)
     for i in candidates[1:]:

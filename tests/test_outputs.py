@@ -25,7 +25,7 @@ GOLDEN_EXOGENOUS = {
 # the residual max|Mp - p| is a rounding error of order 1e-16 whose last bits
 # depend on the order of the floating-point sums, so it is bounded instead
 GOLDEN_SOLVER_WITHOUT_RESIDUAL = (
-    "d8b0b0b35e7b0a13705ec7aa2c32c6d167688815663c8b72e9908f2f6714091f"
+    "50d331bc93c80765f4651bc2e9c9bad9fb80ca52dac7a834ad32c51c1205c06f"
 )
 
 def small_run():
