@@ -67,8 +67,9 @@ class ExchangeRateMatrix:
     reciprocal pairs within RATE_TOL. Immutable; equal only to itself.
 
     ``ranking`` lists the currencies from the most to the least valuable
-    coin, equal values in index order, when the matrix was built with an
-    exactly decided ranking (:func:`coin_exchange_rates`); otherwise None.
+    coin, equal values in index order. It is decided exactly when the
+    matrix comes from :func:`coin_exchange_rates` with a ranking, and read
+    off the rates in column 1 otherwise.
     """
 
     __slots__ = ("ex", "ranking")
@@ -79,7 +80,6 @@ class ExchangeRateMatrix:
         except TypeError:
             raise InvalidRatesError("rate matrix must be square") from None
         object.__setattr__(self, "ex", ex)
-        object.__setattr__(self, "ranking", None)
         k = len(ex)
         if any(len(row) != k for row in ex):
             raise InvalidRatesError("rate matrix must be square")
@@ -105,6 +105,7 @@ class ExchangeRateMatrix:
                             f"arbitrage-free trade violated for "
                             f"({i + 1},{j + 1},{l + 1})"
                         )
+        object.__setattr__(self, "ranking", _ranking([row[0] for row in ex]))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -133,9 +134,7 @@ class ExchangeRateMatrix:
 
     @classmethod
     def ones(cls, k: int) -> "ExchangeRateMatrix":
-        matrix = cls(((1.0,) * k,) * k)
-        object.__setattr__(matrix, "ranking", tuple(range(1, k + 1)))
-        return matrix
+        return cls(((1.0,) * k,) * k)
 
 
 class _PreferenceFields(NamedTuple):
@@ -529,6 +528,27 @@ def largest_remainder_targets(fractions: Sequence[float], total: int) -> list:
     return base
 
 
+def settlement_moves(currency: int, agents: Sequence[str], targets, holdings) -> list:
+    """The transfers that bring each agent's holding of ``currency`` to its target.
+
+    ``targets[n]`` is the coin count ``agents[n]`` should end up with, and
+    ``holdings`` maps (agent, currency) to the coins that agent holds (a
+    missing key holds none). Returns (coin, donor, recipient) triples.
+    Donors hand over their lowest-serial coins first, in agent order, and
+    recipients are served in agent order. Only the donors' coins are sorted.
+    """
+    given = []
+    wanted = []
+    for agent, want in zip(agents, targets):
+        held = holdings.get((agent, currency), ())
+        have = len(held)
+        if have > want:
+            given += [(coin, agent) for coin in sorted(held)[: have - want]]
+        elif want > have:
+            wanted += [agent] * (want - have)
+    return [(coin, donor, recipient) for (coin, donor), recipient in zip(given, wanted)]
+
+
 def settle_trades(
     network: CurrencyNetwork,
     allocation,
@@ -538,9 +558,8 @@ def settle_trades(
 
     ``allocation`` holds one row of currency fractions per agent, as nested
     sequences or a 2-d array. Each agent ends up holding the
-    largest-remainder rounding of its allocated fraction of every currency.
-    Donors hand over their lowest-serial coins first, in agent order, so
-    settlement is deterministic.
+    largest-remainder rounding of its allocated fraction of every currency,
+    through the transfers of :func:`settlement_moves`.
     """
     if agents is None:
         agents = list(network.agents)
@@ -558,29 +577,17 @@ def settle_trades(
     if any(abs(total - 1.0) > 1e-9 for total in sums):
         raise InfeasibleAllocationError(f"allocation columns must sum to 1, got {sums}")
 
+    holdings: dict = {}
+    for coin, agent in network.holder.items():
+        holdings.setdefault((agent, coin.currency), []).append(coin)
+    unlisted = sorted({agent for agent, _ in holdings} - set(agents))
+    if unlisted:
+        raise InfeasibleAllocationError(f"coin holders without an allocation row: {unlisted}")
     current = network
     for i in network.currencies:
-        count = network.coin_count(i)
-        if count == 0:
-            continue
-        targets = largest_remainder_targets([row[i - 1] for row in allocation], count)
-        held = {agent: [] for agent in agents}
-        for coin in sorted(network.community(i).coins):
-            held[current.holder[coin]].append(coin)
-        surplus = []  # (agent, coins to give), agent order
-        deficit = []  # (agent, count to receive), agent order
-        for row, agent in enumerate(agents):
-            have = len(held[agent])
-            want = targets[row]
-            if have > want:
-                surplus.append((agent, held[agent][: have - want]))
-            elif want > have:
-                deficit.append((agent, want - have))
-        give = iter(
-            (agent, coin) for agent, coins in surplus for coin in coins
+        targets = largest_remainder_targets(
+            [row[i - 1] for row in allocation], network.coin_count(i)
         )
-        for recipient, needed in deficit:
-            for _ in range(needed):
-                donor, coin = next(give)
-                current = pay(current, coin, donor, recipient)
+        for coin, donor, recipient in settlement_moves(i, agents, targets, holdings):
+            current = pay(current, coin, donor, recipient)
     return current

@@ -32,6 +32,7 @@ from .economy import (
     ordered_sum,
     ranking_from_market_sums,
     ranking_from_mrs,
+    settlement_moves,
     strongly_connected,
 )
 # the engine keeps the market sums itself, so it calls the solver core on
@@ -45,6 +46,8 @@ from .justice import (
     convergence_condition,
     predicted_mint_fraction,
 )
+# RunResult calls it through this module name, which a test patches to count calls
+from .justice import justice_values as _justice_values
 from .ledger import Coin, CurrencyCommunity, CurrencyNetwork
 from .minting import (
     Defensive,
@@ -55,8 +58,8 @@ from .minting import (
     JointEgalitarian,
     Myopic,
     UniformRandom,
-    most_valued_coin,
     choose_mint_currency,
+    most_valued_coin,
 )
 
 REGIME_TAGS = (
@@ -329,8 +332,8 @@ def config_hash(config: ScenarioConfig) -> str:
 def parse_regime(config: ScenarioConfig):
     tag = config.regime
     if tag == "equal_birth_grant":
-        if config.grant is None:
-            raise ConfigError("equal_birth_grant requires 'grant'")
+        if config.grant is None or config.grant <= 0:
+            raise ConfigError("equal_birth_grant requires a positive 'grant'")
         return EqualBirthGrant(config.grant)
     if tag == "egalitarian_single":
         return EgalitarianSingle(config.community if config.community is not None else 1)
@@ -343,7 +346,11 @@ def parse_regime(config: ScenarioConfig):
     if tag == "joint_random":
         return JointEgalitarian(UniformRandom())
     if tag.startswith("joint_fixed:"):
-        return JointEgalitarian(FixedCurrency(int(tag.split(":", 1)[1])))
+        try:
+            currency = int(tag.split(":", 1)[1])
+        except ValueError:
+            raise ConfigError(f"joint_fixed needs a currency index, got {tag!r}") from None
+        return JointEgalitarian(FixedCurrency(currency))
     raise ConfigError(
         f"unknown regime tag {tag!r}; expected one of "
         f"{', '.join(REGIME_TAGS)} or joint_fixed:<i>"
@@ -427,12 +434,17 @@ def validate_config(config: ScenarioConfig) -> list:
         err("trade_noise", "trade noise count cannot be negative")
     if config.snapshot_interval < 0:
         err("snapshot_interval", "snapshot interval cannot be negative")
+    if config.join_grant < 0:
+        err("join_grant", "join grant cannot be negative")
     for cc in config.communities:
         if not cc.members:
             err("members", f"community {cc.index} has no members")
         bad = set(cc.initial_coins) - set(cc.members)
         if bad:
             err("initial_coins", f"community {cc.index}: coins for non-members {sorted(bad)}")
+        negative = sorted(agent for agent, n in cc.initial_coins.items() if n < 0)
+        if negative:
+            err("initial_coins", f"community {cc.index}: negative coin counts for {negative}")
 
     try:
         regime = parse_regime(config)
@@ -709,38 +721,9 @@ class RunResult:
             )
         return report
 
-    def _weights(self, t: int, reference: int) -> Optional[list]:
-        """Value of one coin of each currency in the reference currency; None for k = 1."""
-        if self.history.k == 1:
-            return None
+    def _weights(self, t: int, reference: int) -> list:
+        """Value of one coin of each currency in the reference currency."""
         return self.rates_timeline[t].column(reference)
-
-
-def _justice_values(agents, step, cashflow, weights) -> list:
-    """Each agent's balance minus cashflow, weighted and diluted, at ``step``.
-
-    The currencies are added left to right, like ``economy.ordered_sum``.
-    """
-    balances = step.balances
-    if weights is None:
-        total = step.coin_counts[1]
-        if not total:
-            return [math.nan] * len(agents)
-        return [(balances.get((a, 1), 0) - cashflow[(a, 1)]) / total for a in agents]
-    weighted = tuple(enumerate(weights, 1))
-    counts = step.coin_counts
-    denominator = 0.0
-    for i, w in weighted:
-        denominator += counts[i] * w
-    if not denominator:
-        return [math.nan] * len(agents)
-    values = []
-    for a in agents:
-        total = 0.0
-        for i, w in weighted:
-            total += (balances.get((a, i), 0) - cashflow[(a, i)]) * w
-        values.append(total / denominator)
-    return values
 
 
 # --------------------------------------------------------------------------
@@ -913,10 +896,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     join_schedule = {t: tuple(entries) for t, entries in config.joins.items()}
     snapshot_interval = config.snapshot_interval
     strategy = regime.strategy if isinstance(regime, JointEgalitarian) else None
-    is_random = isinstance(strategy, UniformRandom)
     is_myopic = isinstance(strategy, Myopic)
-    is_defensive = isinstance(strategy, Defensive)
-    is_egocentric = isinstance(strategy, Egocentric)
     is_fixed = isinstance(strategy, FixedCurrency)
     no_joins = frozenset()
 
@@ -1014,6 +994,8 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                     mint_coin(agent, i)
                 minted[(agent, i)] = regime.coins
         else:
+            # two fast paths in front of the one dispatch: a single
+            # membership, and the myopic choice per membership tuple
             for agent in agents:
                 mine = memberships[agent]
                 if len(mine) == 1 and not is_fixed:
@@ -1022,27 +1004,15 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                     choice = myopic_choice.get(mine)
                     if choice is None:
                         choice = myopic_choice[mine] = most_valued_coin(in_force, mine)
-                elif is_defensive:
-                    choice = min(mine, key=lambda i: (balance[(agent, i)], i))
-                elif is_random:
-                    choice = mine[rng.randrange(len(mine))]
-                elif is_egocentric:
-                    weights = weights_at(t)[agent]
-                    diluted = [
-                        balance.get((agent, i), 0) / count[i] if count[i] else 0.0
-                        for i in currencies
-                    ]
+                else:
                     choice = choose_mint_currency(
                         strategy,
                         agent,
                         mine,
-                        weights=weights,
-                        diluted=diluted,
-                        coin_counts=[count[i] for i in currencies],
-                    )
-                else:
-                    choice = choose_mint_currency(
-                        strategy, agent, mine, rates=in_force, rng=rng
+                        balance,
+                        rates=in_force,
+                        weights=weights_at(t)[agent],
+                        rng=rng,
                     )
                 coin = (choice, count[choice])
                 count[choice] += 1
@@ -1120,27 +1090,10 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                     targets = largest_remainder_targets(
                         [row[col] for row in allocation], count[i]
                     )
-                    surplus = []
-                    deficit = []
-                    for row, agent in enumerate(agents):
-                        have = balance.get((agent, i), 0)
-                        want = targets[row]
-                        if have > want:
-                            surplus.append([agent, have - want])
-                        elif want > have:
-                            deficit.append([agent, want - have])
-                    donor_idx = 0
-                    for recipient, need in deficit:
-                        while need:
-                            donor, excess = surplus[donor_idx]
-                            coin = next(reversed(holdings[(donor, i)]))
-                            move(coin, donor, recipient)
-                            need -= 1
-                            excess -= 1
-                            if excess:
-                                surplus[donor_idx][1] = excess
-                            else:
-                                donor_idx += 1
+                    for coin, donor, recipient in settlement_moves(
+                        i, agents, targets, holdings
+                    ):
+                        move(coin, donor, recipient)
 
         # -- record -----------------------------------------------------
         if settled:

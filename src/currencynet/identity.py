@@ -11,8 +11,9 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .accounting import History
-from .economy import ExchangeRateMatrix, fractional_equity, ordered_sum
+from .economy import ExchangeRateMatrix, fractional_equity
 from .errors import UnknownAgentError, UnknownPersonError
+from .justice import justice_values
 from .ledger import CurrencyCommunity, CurrencyNetwork
 
 
@@ -196,40 +197,34 @@ def sybil_locality_report(
     currencies = list(history.currencies)
     shares = {p: [] for p in persons}
 
+    def owned(values) -> dict:
+        # each person's part of the agents' values, co-owners splitting equally
+        total = dict.fromkeys(persons, 0.0)
+        for a, value in zip(agents, values):
+            for person, weight in split[a]:
+                total[person] += value * weight
+        return total
+
     for step, cashflow in history.cashflow_steps():
         t = step.t
         ex = rates_by_step[t] if t < len(rates_by_step) else rates_by_step[-1]
-        col = ex.column(reference)
-        denominator = ordered_sum(
-            step.coin_counts[i] * col[i - 1] for i in currencies
-        )
-        person_value = dict.fromkeys(persons, 0.0)
-        for a in agents:
-            value = ordered_sum(
-                (step.balances.get((a, i), 0) - cashflow[(a, i)]) * col[i - 1]
-                for i in currencies
-            )
-            for person, weight in split[a]:
-                person_value[person] += value * weight
+        values = owned(justice_values(agents, step, cashflow, ex.column(reference)))
         for person in persons:
-            shares[person].append(
-                person_value[person] / denominator if denominator else float("nan")
-            )
+            shares[person].append(values[person])
 
+    # one currency's share is the justice value with only that coin valued
     final = history.steps[-1]
-    currency_share_final: dict = {}
-    for person in persons:
-        per_currency = {}
-        for i in currencies:
-            count = final.coin_counts[i]
-            owned = ordered_sum(
-                (final.balances.get((a, i), 0) - cashflow[(a, i)]) * weight
-                for a in agents
-                for q, weight in split[a]
-                if q == person
+    per_currency = {
+        i: owned(
+            justice_values(
+                agents, final, cashflow, [float(j == i) for j in currencies]
             )
-            per_currency[i] = owned / count if count else float("nan")
-        currency_share_final[person] = per_currency
+        )
+        for i in currencies
+    }
+    currency_share_final = {
+        person: {i: per_currency[i][person] for i in currencies} for person in persons
+    }
 
     genuine = {}
     for i in currencies:

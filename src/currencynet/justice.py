@@ -17,6 +17,32 @@ from .economy import ExchangeRateMatrix, ordered_sum
 from .errors import BadIndexError, ConditionViolatedError, InvalidRatesError, TooShortError
 
 
+def justice_values(agents, step, cashflow, weights) -> list:
+    """Each agent's balance minus cashflow, weighted and diluted, at ``step``.
+
+    ``step`` carries ``balances`` ((agent, currency) -> coins) and
+    ``coin_counts``, ``cashflow`` maps (agent, currency) to the cumulative
+    cashflow, and ``weights`` lists the value of one coin of each currency
+    in the reference currency. The currencies are added left to right, like
+    ``economy.ordered_sum``. NaN while the network holds no value.
+    """
+    balances = step.balances
+    weighted = tuple(enumerate(weights, 1))
+    counts = step.coin_counts
+    denominator = 0.0
+    for i, w in weighted:
+        denominator += counts[i] * w
+    if not denominator:
+        return [math.nan] * len(agents)
+    values = []
+    for a in agents:
+        total = 0.0
+        for i, w in weighted:
+            total += (balances.get((a, i), 0) - cashflow[(a, i)]) * w
+        values.append(total / denominator)
+    return values
+
+
 def justice_value_single(history: History, t: int, v: str) -> float:
     """Diluted balance minus diluted cashflow for a one-currency history.
 

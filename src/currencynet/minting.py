@@ -111,11 +111,8 @@ MintingRegime = Union[EqualBirthGrant, EgalitarianSingle, JointEgalitarian]
 def most_valued_coin(rates: ExchangeRateMatrix, memberships: Iterable) -> int:
     """Currency among ``memberships`` whose coin has the highest exchange value.
 
-    When ``rates`` carries an exact ranking (the engine attaches one to
-    every matrix it builds), the first member currency in it wins.
-    Otherwise the rates are compared in one fixed reference column;
-    arbitrage-freeness makes the winner independent of which reference is
-    used. Ties go to the minimum currency index.
+    The first member currency in ``rates.ranking`` wins, so ties go to the
+    minimum currency index.
     """
     candidates = sorted(memberships)
     if not candidates:
@@ -124,37 +121,19 @@ def most_valued_coin(rates: ExchangeRateMatrix, memberships: Iterable) -> int:
         raise InvalidRatesError(
             f"membership {candidates} outside the {rates.k}-currency rate matrix"
         )
-    if rates.ranking is not None:
-        return next(i for i in rates.ranking if i in candidates)
-    best = candidates[0]
-    best_value = rates.rate(best, 1)
-    for i in candidates[1:]:
-        value = rates.rate(i, 1)
-        if value > best_value:
-            best, best_value = i, value
-    return best
-
-
-def defensive_choice(balances: Mapping, memberships: Iterable) -> int:
-    """Currency with the smallest current balance; ties to the minimum index."""
-    candidates = sorted(memberships)
-    if not candidates:
-        raise ValueError("agent has no community to mint in")
-    return min(candidates, key=lambda i: (balances.get(i, 0), i))
+    return next(i for i in rates.ranking if i in candidates)
 
 
 def egocentric_choice(
-    weights: Sequence[float],
-    diluted: Sequence[float],
-    coin_counts: Sequence[int],
-    memberships: Iterable,
+    weights: Sequence[float], balances: Mapping, memberships: Iterable
 ) -> int:
     """Currency maximizing the marginal utility of one extra coin.
 
-    For Cobb-Douglas weights the utility gain of one more coin of currency i
-    is weight_i / (diluted_i * |C_i|). A zero diluted balance (or an empty
-    currency) with positive weight has unbounded gain and wins outright;
-    among such currencies the minimum index is chosen.
+    ``balances`` maps currency to the coins the agent holds. For
+    Cobb-Douglas weights over diluted balances the gain of one more coin of
+    currency i is weight_i / balance_i (the coin count cancels). An empty
+    holding with positive weight has unbounded gain and wins outright, a
+    zero weight gains nothing, and ties go to the minimum index.
     """
     candidates = sorted(memberships)
     if not candidates:
@@ -163,12 +142,13 @@ def egocentric_choice(
     best_gain = -1.0
     for i in candidates:
         w = weights[i - 1]
+        held = balances.get(i, 0)
         if w <= 0.0:
             gain = 0.0
-        elif diluted[i - 1] <= 0.0 or coin_counts[i - 1] <= 0:
+        elif held <= 0:
             gain = float("inf")
         else:
-            gain = w / (diluted[i - 1] * coin_counts[i - 1])
+            gain = w / held
         if gain > best_gain:
             best, best_gain = i, gain
     return best
@@ -178,29 +158,38 @@ def choose_mint_currency(
     strategy: Strategy,
     agent: str,
     memberships: Sequence[int],
+    balances: Mapping,
     *,
     rates: Optional[ExchangeRateMatrix] = None,
     weights: Optional[Sequence[float]] = None,
-    balances: Optional[Mapping] = None,
-    diluted: Optional[Sequence[float]] = None,
-    coin_counts: Optional[Sequence[int]] = None,
     rng: Optional[random.Random] = None,
 ) -> int:
-    if isinstance(strategy, Myopic):
-        return most_valued_coin(rates, memberships)
-    if isinstance(strategy, Defensive):
-        return defensive_choice(balances, memberships)
-    if isinstance(strategy, Egocentric):
-        return egocentric_choice(weights, diluted, coin_counts, memberships)
+    """The currency ``agent`` mints its one coin in under a joint regime.
+
+    ``memberships`` lists the agent's currencies in increasing order and
+    ``balances`` maps (agent, currency) to the coins held (a missing key
+    holds none). An agent of one currency mints there, unless a fixed
+    currency names another one. ``rates`` serves the myopic strategy,
+    ``weights`` (the agent's row) the egocentric one, and ``rng`` the
+    random one, with one draw per agent of several currencies.
+    """
     if isinstance(strategy, FixedCurrency):
         if strategy.currency not in memberships:
             raise NotMemberError(
                 f"{agent!r} cannot mint currency {strategy.currency}: not a member"
             )
         return strategy.currency
+    if len(memberships) == 1:
+        return memberships[0]
+    if isinstance(strategy, Myopic):
+        return most_valued_coin(rates, memberships)
     if isinstance(strategy, UniformRandom):
-        ordered = sorted(memberships)
-        return ordered[rng.randrange(len(ordered))]
+        return memberships[rng.randrange(len(memberships))]
+    if isinstance(strategy, Defensive):  # the smallest holding
+        return min(memberships, key=lambda i: (balances.get((agent, i), 0), i))
+    if isinstance(strategy, Egocentric):
+        held = {i: balances.get((agent, i), 0) for i in memberships}
+        return egocentric_choice(weights, held, memberships)
     raise TypeError(f"unknown strategy {strategy!r}")
 
 
@@ -245,33 +234,16 @@ def mint_step(
         for coin, agent in network.holder.items():
             key = (agent, coin.currency)
             balances[key] = balances.get(key, 0) + 1
-        counts = [network.coin_count(i) for i in network.currencies]
         for agent in network.agents:
-            mine = memberships[agent]
-            if len(mine) == 1 and not isinstance(regime.strategy, FixedCurrency):
-                choice = mine[0]
-            else:
-                strategy = regime.strategy
-                diluted = None
-                weights = None
-                if isinstance(strategy, Egocentric):
-                    weights = prefs.weights[agent]
-                    diluted = [
-                        balances.get((agent, i), 0) / counts[i - 1]
-                        if counts[i - 1] else 0.0
-                        for i in network.currencies
-                    ]
-                choice = choose_mint_currency(
-                    strategy,
-                    agent,
-                    mine,
-                    rates=rates,
-                    weights=weights,
-                    balances={i: balances.get((agent, i), 0) for i in mine},
-                    diluted=diluted,
-                    coin_counts=counts,
-                    rng=rng,
-                )
+            choice = choose_mint_currency(
+                regime.strategy,
+                agent,
+                memberships[agent],
+                balances,
+                rates=rates,
+                weights=prefs.weights.get(agent) if prefs is not None else None,
+                rng=rng,
+            )
             mint(agent, choice)
     else:
         raise TypeError(f"unknown minting regime {regime!r}")

@@ -173,6 +173,40 @@ def test_check_error_is_fatal(tmp_path, capsys):
     assert cli.main(["check", "--scenario", str(path)]) == cli.EXIT_USAGE
 
 
+def with_regime(tag, **fields):
+    def edit(data):
+        data.update(regime=tag, **fields)
+
+    return edit
+
+
+def negative_initial_coins(data):
+    data["communities"][0]["initial_coins"]["a"] = -2
+
+
+def negative_join_grant(data):
+    data["join_grant"] = -1
+
+
+@pytest.mark.parametrize(
+    "edit, code",
+    [
+        pytest.param(with_regime("joint_fixed:x"), "regime", id="fixed_currency_not_an_index"),
+        pytest.param(with_regime("equal_birth_grant", grant=0), "regime", id="zero_birth_grant"),
+        pytest.param(with_regime("equal_birth_grant", grant=-3), "regime", id="negative_birth_grant"),
+        pytest.param(negative_initial_coins, "initial_coins", id="negative_initial_coins"),
+        pytest.param(negative_join_grant, "join_grant", id="negative_join_grant"),
+    ],
+)
+def test_check_reports_bad_values_as_errors(tmp_path, capsys, edit, code):
+    data = scenarios.pair_convergence_exogenous(steps=100).to_dict()
+    edit(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["check", "--scenario", str(path)]) == cli.EXIT_USAGE
+    assert f"error: [{code}]" in capsys.readouterr().out
+
+
 def test_check_missing_file():
     assert cli.main(["check", "--scenario", "does-not-exist.json"]) == cli.EXIT_USAGE
 

@@ -80,18 +80,18 @@ class TestMostValuedCoin:
 
 class TestEgocentricChoice:
     def test_all_weight_on_one_currency(self):
-        assert egocentric_choice((1.0, 0.0), (0.3, 0.3), (10, 10), [1, 2]) == 1
+        assert egocentric_choice((1.0, 0.0), {1: 3, 2: 3}, [1, 2]) == 1
 
     def test_tie_breaks_to_minimum(self):
-        assert egocentric_choice((0.5, 0.5), (0.2, 0.2), (10, 10), [1, 2]) == 1
+        assert egocentric_choice((0.5, 0.5), {1: 2, 2: 2}, [1, 2]) == 1
 
     def test_smaller_share_wins(self):
-        # gains 0.5/0.1 vs 0.5/0.2 at equal volumes
-        assert egocentric_choice((0.5, 0.5), (0.1, 0.2), (10, 10), [1, 2]) == 1
-        assert egocentric_choice((0.5, 0.5), (0.2, 0.1), (10, 10), [1, 2]) == 2
+        # gains 0.5/1 vs 0.5/2
+        assert egocentric_choice((0.5, 0.5), {1: 1, 2: 2}, [1, 2]) == 1
+        assert egocentric_choice((0.5, 0.5), {1: 2, 2: 1}, [1, 2]) == 2
 
     def test_zero_balance_wins_outright(self):
-        assert egocentric_choice((0.1, 0.9), (0.0, 0.5), (10, 10), [1, 2]) == 1
+        assert egocentric_choice((0.1, 0.9), {1: 0, 2: 5}, [1, 2]) == 1
 
 
 class TestMintStep:
@@ -145,7 +145,7 @@ class TestMintStep:
         grown, minted = mint_step(
             network, JointEgalitarian(Egocentric()), prefs=prefs
         )
-        # equal diluted shares (1.0, 1.0); smaller volume gives the bigger gain
+        # balances (2, 1) at equal weights: the smaller holding gives the bigger gain
         assert minted == {("v", 2): 1}
 
     def test_random_strategy_is_seed_deterministic(self):

@@ -12,6 +12,7 @@ from currencynet.engine import (
     ScenarioConfig,
     run_scenario,
 )
+from test_justice import settled_triple
 
 # sha256 of the bundle files of pair_convergence_exogenous(steps=40), and of
 # solver.csv from pair_convergence_endogenous(steps=40) without its residual
@@ -27,6 +28,15 @@ GOLDEN_EXOGENOUS = {
 GOLDEN_SOLVER_WITHOUT_RESIDUAL = (
     "50d331bc93c80765f4651bc2e9c9bad9fb80ca52dac7a834ad32c51c1205c06f"
 )
+# the bundle of test_justice.settled_triple(): k = 3 with settlement, which
+# pins which coins the settlement donors hand over
+GOLDEN_SETTLED_TRIPLE = {
+    "metrics.csv": "e2e39932151f7ee650890442007087c0c147dc855940bde9e809f918a5f8d4b6",
+    "justice.csv": "16c670d1f81bb2ba2749c2b172a873b827fc02ebf53cdf377039e1ad8b0bb2fa",
+    "rates.csv": "95fa13ecbe9538287aa27558a1d3f5cfebfe54f820ea1d8359a5667f83074646",
+    "solver.csv": "d374056f6f30e5c5508ab355985ee3f499cb9f6610de7ba047870963af1cf2f0",
+    "justice.json": "3477d37bb867223ac88de956af1b7c5986f3510f0c3d3cf0072ab12d77a63247",
+}
 
 def small_run():
     return run_scenario(scenarios.pair_convergence_exogenous(steps=40))
@@ -107,6 +117,11 @@ def test_bundle_bytes_match_golden_digests(tmp_path):
         residuals = [float(row["residual"]) for row in csv.DictReader(handle)]
     assert len(residuals) == 40
     assert max(residuals) <= 1e-15
+
+
+def test_settled_bundle_bytes_match_golden_digests(tmp_path):
+    outputs.write_bundle(run_scenario(settled_triple()), tmp_path)
+    assert digests(tmp_path, GOLDEN_SETTLED_TRIPLE) == GOLDEN_SETTLED_TRIPLE
 
 def test_agent_names_needing_quotes_round_trip(tmp_path):
     odd = ("x,y", 'q"t')
