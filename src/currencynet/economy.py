@@ -219,13 +219,24 @@ def strongly_connected(links) -> bool:
     return k == 0 or (reaches_all(rows) and reaches_all(list(zip(*rows))))
 
 
-def _solve_linear(system: list, rhs: list) -> list:
-    """x with system @ x = rhs, by Gaussian elimination with partial pivoting.
+def _elimination_prices(market) -> list:
+    """p with (M - I) p = 0 and sum(p) = 1, by Gaussian elimination with partial pivoting.
 
-    ``system`` and ``rhs`` are overwritten. Raises DegenerateEconomyError
-    when a pivot is exactly zero.
+    The last equation is replaced by sum(p) = 1. Raises
+    DegenerateEconomyError when a pivot is exactly zero.
     """
-    k = len(system)
+    k = len(market)
+    # the diagonal of M - I is minus each column's off-diagonal mass, which
+    # equals M_ii - 1 for a column-stochastic M but avoids its cancellation
+    system = [list(row) for row in market]
+    for j in range(k):
+        mass = 0.0
+        for i in range(k):
+            if i != j:
+                mass += market[i][j]
+        system[j][j] = -mass
+    system[-1] = [1.0] * k
+    rhs = [0.0] * (k - 1) + [1.0]
     for col in range(k):
         pivot = max(range(col, k), key=lambda row: abs(system[row][col]))
         if system[pivot][col] == 0.0:
@@ -259,38 +270,42 @@ def market_equilibrium(market: list, patterns: Optional[dict] = None) -> tuple:
     the residual is max |M p - p|. Raises DegenerateEconomyError when M is
     reducible or a price comes out zero. A caller that solves many times
     can pass the same dict as ``patterns``: it memoizes the reducibility
-    check per positivity pattern of M.
+    check per positivity pattern of M (for k = 2 the check is M_12 > 0 and
+    M_21 > 0, with no memo).
+
+    For k = 2 with M_21 < 1 the solve is p_2 = M_21 / (M_12 + M_21),
+    p_1 = 1 - p_2: partial pivoting then takes the sum(p) = 1 row first,
+    and the elimination does exactly these float operations.
     """
     k = len(market)
-    currencies = range(k)
-    for j in currencies:
+    for j in range(k):
         total = 0.0
         for row in market:
             total += row[j]
         if abs(total - 1.0) > 1e-6:
             raise ValueError(f"market matrix column {j + 1} sums to {total}, not 1")
-    if patterns is None:
-        patterns = {}
-    pattern = tuple([tuple([m > 0.0 for m in row]) for row in market])
-    connected = patterns.get(pattern)
-    if connected is None:
-        connected = patterns[pattern] = strongly_connected(pattern)
+    if k == 2:
+        (m11, m12), (m21, m22) = market
+        connected = m12 > 0.0 and m21 > 0.0
+    else:
+        if patterns is None:
+            patterns = {}
+        pattern = tuple([tuple([m > 0.0 for m in row]) for row in market])
+        connected = patterns.get(pattern)
+        if connected is None:
+            connected = patterns[pattern] = strongly_connected(pattern)
     if not connected:
         raise DegenerateEconomyError("prices are indeterminate: the economy is reducible")
-    # the diagonal of M - I is minus each column's off-diagonal mass, which
-    # equals M_ii - 1 for a column-stochastic M but avoids its cancellation
-    system = [list(row) for row in market]
-    for j in currencies:
-        mass = 0.0
-        for i in currencies:
-            if i != j:
-                mass += market[i][j]
-        system[j][j] = -mass
-    system[-1] = [1.0] * k
-    prices = _solve_linear(system, [0.0] * (k - 1) + [1.0])
-    residual = max([abs(_dot(row, prices) - p) for row, p in zip(market, prices)])
+    if k == 2 and m21 < 1.0:
+        p2 = m21 / (m12 + m21)
+        p1 = 1.0 - p2
+        prices = [p1, p2]
+        residual = max(abs(m11 * p1 + m12 * p2 - p1), abs(m21 * p1 + m22 * p2 - p2))
+    else:
+        prices = _elimination_prices(market)
+        residual = max([abs(_dot(row, prices) - p) for row, p in zip(market, prices)])
     if min(prices) <= 1e-12:
-        dead = [i + 1 for i in currencies if prices[i] <= 1e-12]
+        dead = [i + 1 for i, p in enumerate(prices) if p <= 1e-12]
         raise DegenerateEconomyError(
             f"currencies priced at zero (valued only by zero-wealth agents): {dead}"
         )
@@ -450,26 +465,29 @@ def coin_exchange_rates(
     validation. With one (currencies from the most to the least valuable
     coin, as :func:`ranking_from_market_sums` or :func:`ranking_from_mrs`
     decide it) the caller vouches that ``mrs`` holds ratios of positive
-    prices, arbitrage-free up to rounding: the rates are then only checked
-    to be finite and positive, and the ranking is attached to the matrix.
+    prices, arbitrage-free up to rounding: its rows are then read as given,
+    without a float copy, the rates are only checked to be finite and
+    positive, and the ranking is attached to the matrix.
     """
     counts = list(coin_counts)
     k = len(counts)
     try:
-        mrs = _float_rows(mrs)
+        if ranking is None:
+            mrs = _float_rows(mrs)
+        square = len(mrs) == k and all([len(row) == k for row in mrs])
     except TypeError:
-        raise InvalidRatesError("MRS matrix shape does not match coin counts") from None
-    if len(mrs) != k or any(len(row) != k for row in mrs):
+        square = False
+    if not square:
         raise InvalidRatesError("MRS matrix shape does not match coin counts")
-    if any(c <= 0 for c in counts):
+    if any([c <= 0 for c in counts]):
         raise ZeroCoinsError(f"coin counts must be positive, got {counts}")
-    for i in range(k):
-        if mrs[i][i] != 1.0:
+    ex = []
+    for i, c_i in enumerate(counts):
+        row = mrs[i]
+        if row[i] != 1.0:
             raise InvalidRatesError("MRS diagonal must be 1")
-    ex = tuple([
-        tuple([m_ij / (c_i / c_j) for m_ij, c_j in zip(row, counts)])
-        for row, c_i in zip(mrs, counts)
-    ])
+        ex.append(tuple([m_ij / (c_i / c_j) for m_ij, c_j in zip(row, counts)]))
+    ex = tuple(ex)
     if ranking is None:
         return ExchangeRateMatrix(ex)
     ranking = tuple(ranking)

@@ -1050,8 +1050,8 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                         move(coin, payer, payee)
 
         # -- equilibration --------------------------------------------------
-        if k >= 2 and t % config.k_eq == 0 and all(count[i] > 0 for i in currencies):
-            counts_now = [count[i] for i in currencies]
+        if k >= 2 and t % config.k_eq == 0 and min(count.values()) > 0:
+            counts_now = list(count.values())  # keyed 1..k, in that order
             if endogenous:
                 if unvalued:
                     raise DegenerateEconomyError(
@@ -1137,7 +1137,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         )
         rates_timeline.append(in_force)
         if k == 2:
-            ex12 = in_force.rate(1, 2)
+            ex12 = in_force.ex[0][1]
             ex12_series.append(ex12)
             if ex12 >= 1.0:
                 a_count += 1

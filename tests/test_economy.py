@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,11 +9,15 @@ import hypothesis.strategies as st
 from currencynet.economy import (
     ExchangeRateMatrix,
     PreferenceProfile,
+    _dot,
+    _elimination_prices,
     coin_exchange_rates,
     diluted_balances,
     fractional_equity,
     largest_remainder_targets,
+    market_equilibrium,
     mrs_matrix,
+    ranking_from_market_sums,
     settle_trades,
     solve_equilibrium,
     strongly_connected,
@@ -168,6 +173,163 @@ class TestSolveEquilibrium:
         weights = np.full((2, 2), 0.5)
         with pytest.raises(ValueError):
             solve_equilibrium(endowment, weights)
+
+
+def general_path(market):
+    """What market_equilibrium does for k >= 3, applied to any k: the oracle for k = 2."""
+    k = len(market)
+    for j in range(k):
+        total = 0.0
+        for row in market:
+            total += row[j]
+        if abs(total - 1.0) > 1e-6:
+            raise ValueError(f"market matrix column {j + 1} sums to {total}, not 1")
+    if not strongly_connected([[m > 0.0 for m in row] for row in market]):
+        raise DegenerateEconomyError("prices are indeterminate: the economy is reducible")
+    prices = _elimination_prices(market)
+    residual = max(abs(_dot(row, prices) - p) for row, p in zip(market, prices))
+    dead = [i + 1 for i, p in enumerate(prices) if p <= 1e-12]
+    if dead:
+        raise DegenerateEconomyError(
+            f"currencies priced at zero (valued only by zero-wealth agents): {dead}"
+        )
+    return tuple(prices), residual
+
+
+def outcome(solve, market):
+    """The bits of (prices, residual), or the error's type and message."""
+    try:
+        prices, residual = solve(market)
+    except (ValueError, DegenerateEconomyError) as exc:
+        return type(exc), str(exc)
+    return [p.hex() for p in prices], residual.hex()
+
+
+def pair_market(m12, m21):
+    return [[1.0 - m21, m12], [m21, 1.0 - m12]]
+
+
+def engine_shaped_sums(rng, k, agents=5, denominator=16):
+    """(sums, counts): sums[j][i] = S_ij from integer balances and weights over D."""
+    while True:
+        balances = [[rng.randint(0, 40) for _ in range(k)] for _ in range(agents)]
+        weights = []
+        for _ in range(agents):
+            cuts = sorted(rng.randint(0, denominator) for _ in range(k - 1))
+            weights.append([b - a for a, b in zip([0] + cuts, cuts + [denominator])])
+        counts = [sum(row[j] for row in balances) for j in range(k)]
+        sums = [
+            [sum(w[i] * b[j] for w, b in zip(weights, balances)) for i in range(k)]
+            for j in range(k)
+        ]
+        market = [[sums[j][i] / (denominator * counts[j]) for j in range(k)] for i in range(k)]
+        if all(counts) and strongly_connected([[m > 0.0 for m in row] for row in market]):
+            return sums, counts, market
+
+
+class TestTwoCurrencyClosedForm:
+    """For k = 2 market_equilibrium uses p_2 = M_21 / (M_12 + M_21): the elimination's bits."""
+
+    def test_random_markets_match_the_elimination_bit_for_bit(self):
+        rng = random.Random(8)
+        markets = [pair_market(rng.random(), rng.random()) for _ in range(4000)]
+        markets += [engine_shaped_sums(rng, 2)[2] for _ in range(2000)]
+        # off-diagonal masses across the whole exponent range, down to 1e-300
+        markets += [
+            pair_market(2.0 ** -rng.uniform(0, 1000), 2.0 ** -rng.uniform(0, 1000))
+            for _ in range(2000)
+        ]
+        solved = 0
+        for market in markets:
+            expected = outcome(general_path, market)
+            assert outcome(market_equilibrium, market) == expected, market
+            solved += expected[0] is not ValueError and expected[0] is not DegenerateEconomyError
+        assert solved > 6000
+
+    @pytest.mark.parametrize(
+        "m12, m21",
+        [
+            (1e-300, 3e-300),
+            (1e-300, 1e-300),
+            (5e-324, 5e-324),
+            (0.5, 1.0 - 2.0 ** -53),
+            (1.0 - 2.0 ** -53, 0.5),
+        ],
+    )
+    def test_extreme_entries_match_the_elimination(self, m12, m21):
+        market = pair_market(m12, m21)
+        assert outcome(market_equilibrium, market) == outcome(general_path, market)
+
+    @pytest.mark.parametrize("m12", [0.25, 0.5, 1.0, 1e-300])
+    def test_pivot_tie_keeps_the_elimination(self, m12):
+        # M_21 = 1 ties the pivot, so the solve is the general elimination's
+        market = pair_market(m12, 1.0)
+        assert outcome(market_equilibrium, market) == outcome(general_path, market)
+        if m12 >= 0.25:
+            prices, residual = market_equilibrium(market)
+            assert residual < 1e-15
+            assert abs(prices[0] - m12 / (1.0 + m12)) < 1e-15
+
+    @pytest.mark.parametrize(
+        "market, error, message",
+        [
+            (pair_market(0.0, 0.5), DegenerateEconomyError, "economy is reducible"),
+            (pair_market(0.5, 0.0), DegenerateEconomyError, "economy is reducible"),
+            (pair_market(0.0, 0.0), DegenerateEconomyError, "economy is reducible"),
+            (pair_market(1e-300, 0.5), DegenerateEconomyError, "priced at zero .*: \\[1\\]"),
+            (pair_market(0.5, 1e-300), DegenerateEconomyError, "priced at zero .*: \\[2\\]"),
+            ([[0.5, 0.5], [0.6, 0.5]], ValueError, "column 1 sums to 1.1, not 1"),
+            ([[0.5, 0.5], [0.5, 0.4]], ValueError, "column 2 sums to 0.9, not 1"),
+        ],
+    )
+    def test_ill_posed_markets_raise_as_the_general_path(self, market, error, message):
+        with pytest.raises(error, match=message):
+            market_equilibrium(market)
+        assert outcome(market_equilibrium, market) == outcome(general_path, market)
+
+    def test_prices_are_python_floats_in_a_tuple(self):
+        prices, residual = market_equilibrium(((0.75, 0.25), (0.25, 0.75)))
+        assert prices == (0.5, 0.5)
+        assert type(residual) is float and all(type(p) is float for p in prices)
+
+
+class TestRankedRates:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_ranked_rates_equal_the_validated_rates(self, k):
+        # engine-shaped inputs: integer market sums, the solved prices, the exact ranking
+        rng = random.Random(k)
+        for _ in range(500):
+            sums, counts, market = engine_shaped_sums(rng, k)
+            prices, _ = market_equilibrium(market)
+            mrs = mrs_matrix(prices)
+            ranked = coin_exchange_rates(mrs, counts, ranking_from_market_sums(sums))
+            unranked = coin_exchange_rates(mrs, counts)
+            assert ranked.ex == unranked.ex
+            assert ranked.ranking == ranking_from_market_sums(sums)
+
+    def test_ranked_rows_are_read_as_given(self):
+        mrs = ((1.0, 2.0), (0.5, 1.0))
+        ranked = coin_exchange_rates(mrs, [200, 100], (1, 2))
+        assert ranked.ex == ((1.0, 1.0), (1.0, 1.0))
+        assert all(type(x) is float for row in ranked.ex for x in row)
+
+    @pytest.mark.parametrize(
+        "mrs, counts, ranking, error",
+        [
+            (((1.0, 2.0), (0.5, 2.0)), [1, 1], (1, 2), InvalidRatesError),  # diagonal
+            (((1.0, math.inf), (0.0, 1.0)), [1, 1], (1, 2), InvalidRatesError),
+            (((1.0, math.nan), (math.nan, 1.0)), [1, 1], (2, 1), InvalidRatesError),
+            (((1.0, 2.0), (0.5, 1.0)), [1, 1], (1, 1), InvalidRatesError),  # ranking
+            (((1.0, 2.0), (0.5, 1.0)), [1, 1], (1, 2, 3), InvalidRatesError),
+            (((1.0, 2.0),), [1, 1], (1, 2), InvalidRatesError),  # shape
+            (((1.0, 2.0), (0.5,)), [1, 1], (1, 2), InvalidRatesError),
+            (None, [1, 1], (1, 2), InvalidRatesError),
+            (((1.0, 2.0), (0.5, 1.0)), [1, 0], (1, 2), ZeroCoinsError),
+        ],
+    )
+    def test_ranked_inputs_still_checked(self, mrs, counts, ranking, error):
+        with pytest.raises(error):
+            coin_exchange_rates(mrs, counts, ranking)
 
 
 class TestStronglyConnected:
@@ -343,6 +505,13 @@ class TestSettleTrades:
         network = make_network({1: (["a", "b"], {"a": 2})})
         with pytest.raises(InfeasibleAllocationError):
             settle_trades(network, np.array([[0.9], [0.9]]))
+
+    def test_holder_without_allocation_row_rejected(self):
+        network = make_network({1: (["a", "b"], {"a": 1, "b": 1})})
+        with pytest.raises(
+            InfeasibleAllocationError, match=r"coin holders without an allocation row: \['b'\]"
+        ):
+            settle_trades(network, [[1.0]], ["a"])
 
 
 class TestLargestRemainder:

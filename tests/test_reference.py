@@ -4,20 +4,31 @@ The reference replays a run on ``ledger`` networks: joins through
 ``with_member``, minting through ``minting.mint_step``, join grants as a
 second ``mint_step`` with a birth grant, and settlement through
 ``economy.settle_trades`` toward the demand at the engine's equilibrium
-prices. On random small configs, every regime and strategy, its minted
-record and holder map must equal the engine's at every step.
+prices. It solves each equilibrating step itself, with ``solve_equilibrium``
+on the replayed network's diluted balances, and builds the rates with the
+fully validated ``coin_exchange_rates``. Its counters come from
+``History.extend`` on the replayed networks. On random small configs, every
+regime and strategy, its minted record, holder map and counters must equal
+the engine's at every step, and its prices and rates must match the
+engine's to 1e-12 relative: the engine solves from exact integer market
+sums, and k = 3 sums are taken in another order.
 """
+import math
 import random
 
 import hypothesis.strategies as st
 from hypothesis import assume, example, given, settings
 
+from currencynet.accounting import History
 from currencynet.economy import (
+    ExchangeRateMatrix,
     PreferenceProfile,
+    coin_exchange_rates,
     demand,
     diluted_balances,
     mrs_matrix,
     settle_trades,
+    solve_equilibrium,
 )
 from currencynet.engine import (
     CommunityConfig,
@@ -147,6 +158,23 @@ def masked_weights(config, network, t):
     return _mask_weights(source, memberships, config.k)
 
 
+def exogenous_mrs(config, t):
+    """The configured substitution rates in force at step t."""
+    if config.rates.mrs_matrix is not None:
+        return config.rates.mrs_matrix
+    m = float(config.rates.mrs12.at(t))
+    return ((1.0, m), (1.0 / m, 1.0))
+
+
+def assert_close(actual, expected, what):
+    """Equal shapes, and every entry within 1e-12 relative."""
+    actual = [x for row in actual for x in row]
+    expected = [x for row in expected for x in row]
+    assert len(actual) == len(expected), what
+    for a, b in zip(actual, expected):
+        assert math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0), (what, actual, expected)
+
+
 # settlement: b's lowest-serial coin of currency 2 moves, not the newest
 SETTLED_PAIR = ScenarioConfig(
     name="settled_pair",
@@ -185,15 +213,22 @@ def test_reference_layer_replays_every_engine_step(config):
         assume(False)  # the prices turned indeterminate mid-run
     regime = parse_regime(config)
     steps = result.history.steps
+    endogenous = config.rates.mode == "endogenous"
     prices = {event.t: event.prices for event in result.solver_log}
+    events = {event.t: event for event in result.rates_log}
     rng = random.Random(config.seed)
     network = initial_network(config)
     assert network.holder == steps[0].network.holder
+    history = History(network)
+    rates = ExchangeRateMatrix.ones(config.k).ex
     for t in range(1, config.steps + 1):
+        assert_close(result.rates_timeline[t].ex, rates, ("rates in force", t))
         joiners = config.joins.get(t, ())
         for agent, i in joiners:
             network = network.with_member(agent, i)
         weights = masked_weights(config, network, t)
+        # the engine's matrix, held to ``rates`` above, carries the exact
+        # ranking that the replay's float rates cannot
         network, minted = mint_step(
             network,
             regime,
@@ -208,10 +243,29 @@ def test_reference_layer_replays_every_engine_step(config):
             )
             for key, n in granted.items():
                 minted[key] = minted.get(key, 0) + n
-        if config.settlement and t in prices:
+        counts = [network.coin_count(i) for i in network.currencies]
+        equilibrates = config.k >= 2 and t % config.k_eq == 0 and all(counts)
+        assert (t in events) == equilibrates, t
+        if equilibrates:
             agents, endowment = diluted_balances(network)
+            if endogenous:
+                solution = solve_equilibrium(endowment, [weights[a] for a in agents])
+                assert_close([prices[t]], [solution.prices], ("prices", t))
+                mrs = mrs_matrix(solution.prices)
+            else:
+                mrs = exogenous_mrs(config, t)
+            rates = coin_exchange_rates(mrs, counts).ex
+            assert_close(events[t].ex, rates, ("rates", t))
+        if config.settlement and endogenous and equilibrates:
+            # toward the engine's prices, now held to the solve above: the
+            # rounding of the targets may turn on their last bits
             allocation = demand(endowment, [weights[a] for a in agents], prices[t])
             network = settle_trades(network, allocation, agents)
+        history.extend(network, minted)
         assert minted == steps[t].minted, t
         assert network.holder == steps[t].network.holder, t
         assert network.communities == steps[t].network.communities, t
+        replayed = history.steps[t]
+        counters = ("balances", "income", "revenue", "expenses", "coin_counts", "members", "joins")
+        for field in counters:
+            assert getattr(replayed, field) == getattr(steps[t], field), (field, t)
