@@ -282,7 +282,7 @@ def market_equilibrium(market: list, patterns: Optional[dict] = None) -> tuple:
         total = 0.0
         for row in market:
             total += row[j]
-        if abs(total - 1.0) > 1e-6:
+        if not abs(total - 1.0) <= 1e-6:  # a NaN total fails too
             raise ValueError(f"market matrix column {j + 1} sums to {total}, not 1")
     if k == 2:
         (m11, m12), (m21, m22) = market
@@ -340,7 +340,7 @@ def solve_equilibrium(endowment, weights) -> EquilibriumResult:
     if len(weights) != len(endowment) or set(map(len, endowment + weights)) != {k} or not k:
         raise ValueError("endowment and weights must have matching shapes")
     column_sums = [sum(column) for column in zip(*endowment)]
-    if any(abs(total - 1.0) > 1e-6 for total in column_sums):
+    if not all(abs(total - 1.0) <= 1e-6 for total in column_sums):  # NaN fails
         raise ValueError(f"endowment columns must sum to 1, got {column_sums}")
     dead = [i + 1 for i, column in enumerate(zip(*weights)) if sum(column) <= 0.0]
     if dead:

@@ -361,15 +361,6 @@ def parse_regime(config: ScenarioConfig):
 # validation
 
 
-def _eventual_members(config: ScenarioConfig) -> dict:
-    members = {cc.index: set(cc.members) for cc in config.communities}
-    for entries in config.joins.values():
-        for agent, cur in entries:
-            if cur in members:
-                members[cur].add(agent)
-    return members
-
-
 def _mask_weights(source: Optional[Mapping], memberships: Mapping, k: int) -> dict:
     """Resolve per-agent weight tuples against *current* memberships.
 
@@ -464,19 +455,20 @@ def validate_config(config: ScenarioConfig) -> list:
             "so convergence of the justice metric is not expected",
         )
 
-    members_now = {cc.index: set(cc.members) for cc in config.communities}
+    # replay the joins; what is left is every community's eventual members
+    eventual = {cc.index: set(cc.members) for cc in config.communities}
     for step in sorted(config.joins):
         if step < 1:
             err("joins", f"join scheduled at step {step}; steps start at 1")
         if step > config.steps:
             warn("joins", f"join at step {step} is beyond the run ({config.steps} steps)")
         for agent, cur in config.joins[step]:
-            if cur not in members_now:
+            if cur not in eventual:
                 err("joins", f"join of {agent!r} targets unknown community {cur}")
-            elif agent in members_now[cur]:
+            elif agent in eventual[cur]:
                 err("joins", f"{agent!r} joins community {cur} twice")
             else:
-                members_now[cur].add(agent)
+                eventual[cur].add(agent)
 
     rates = config.rates
     if rates.mode == "exogenous":
@@ -511,13 +503,9 @@ def validate_config(config: ScenarioConfig) -> list:
         )
 
     needs_prefs = rates.mode == "endogenous" or config.regime == "joint_egocentric"
-    eventual = _eventual_members(config)
     if needs_prefs and k >= 1:
         source = config.preferences or {}
-        memberships: dict = {}
-        for i, agents in eventual.items():
-            for agent in agents:
-                memberships.setdefault(agent, set()).add(i)
+        memberships = _membership_index(eventual)
         defaulted = sorted(set(memberships) - set(source))
         if defaulted:
             info(
@@ -784,22 +772,27 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     currencies = list(range(1, k + 1))
     endogenous = config.rates.mode == "endogenous"
 
-    members = {cc.index: set(cc.members) for cc in config.communities}
-    members_frozen = {i: frozenset(members[i]) for i in currencies}
-    member_tuple = {i: tuple(sorted(members[i])) for i in currencies}
+    # the membership record is replaced, never changed, at a join, so every
+    # step shares it until the next join
+    members_record = {cc.index: frozenset(cc.members) for cc in config.communities}
 
-    def membership_of(agent):
-        return tuple(i for i in currencies if agent in members[i])
+    def index_members():
+        # sorted members per currency, every agent, and each agent's currencies
+        agents = sorted(set().union(*members_record.values()))
+        return (
+            {i: tuple(sorted(who)) for i, who in members_record.items()},
+            agents,
+            {a: tuple(i for i in currencies if a in members_record[i]) for a in agents},
+        )
 
-    agents = sorted({a for who in members.values() for a in who})
-    memberships = {a: membership_of(a) for a in agents}
+    member_tuple, agents, memberships = index_members()
 
-    # engine-internal coins are bare (currency, serial) tuples; they become
-    # Coin values only when a snapshot is materialized
+    # engine-internal coins are bare (currency, serial) tuples, currency i
+    # holding (i, 0) .. (i, count[i] - 1); they become Coin values only
+    # when a snapshot is materialized
     holder: dict = {}
     holdings: dict = {}
     balance: dict = {}
-    coins_by = {i: [] for i in currencies}
     count = {i: 0 for i in currencies}
 
     for a in agents:
@@ -812,7 +805,6 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     # scaled to integers over one power of two (``scaled`` per agent), so
     # the market matrix is M_ij = S_ij / (D c_j) in any order of agents
     sums: Optional[list] = None
-    scaled: dict = {}
     columns = range(k)
 
     def book(agent, i, sign):
@@ -822,25 +814,33 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         for x in columns:
             column[x] += sign * row[x]
 
-    def mint_coin(agent, i):
-        coin = (i, count[i])
-        count[i] += 1
-        coins_by[i].append(coin)
-        holder[coin] = agent
-        holdings[(agent, i)][coin] = None
-        balance[(agent, i)] += 1
-        if sums is not None:
-            book(agent, i, 1)
+    def mint(mints, minted):
+        # the one place coins are created: one per (agent, currency) pair
+        for key in mints:
+            agent, i = key
+            coin = (i, count[i])
+            count[i] += 1
+            holder[coin] = agent
+            holdings[key][coin] = None
+            balance[key] += 1
+            minted[key] = minted.get(key, 0) + 1
+            if sums is not None:
+                book(agent, i, 1)
 
-    for cc in config.communities:
-        for agent in sorted(cc.initial_coins):
-            for _ in range(cc.initial_coins[agent]):
-                mint_coin(agent, cc.index)
+    mint(
+        [
+            (agent, cc.index)
+            for cc in config.communities
+            for agent in sorted(cc.initial_coins)
+            for _ in range(cc.initial_coins[agent])
+        ],
+        {},
+    )
 
     def materialize():
         communities = tuple(
             CurrencyCommunity(
-                i, members_frozen[i], frozenset(Coin(*c) for c in coins_by[i])
+                i, members_record[i], frozenset(Coin(i, s) for s in range(count[i]))
             )
             for i in currencies
         )
@@ -850,28 +850,24 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
 
     history = History(materialize())
 
-    raw_post = config.preferences
+    strategy = regime.strategy if isinstance(regime, JointEgalitarian) else None
+    is_myopic = isinstance(strategy, Myopic)
+    is_fixed = isinstance(strategy, FixedCurrency)
+    # coins for each joiner: the birth grant, or under any other regime the join grant
+    grant = regime.coins if isinstance(regime, EqualBirthGrant) else config.join_grant
+    single = regime.community if isinstance(regime, EgalitarianSingle) else None
+    if single is not None:
+        single_mints = [(agent, single) for agent in member_tuple[single]]
+
+    # the weights change at a join and, when initial weights are given, at
+    # t_fix; only the solver and the strategies behind the dispatch read them
     raw_pre = config.preferences_initial
-    weights_cache: dict = {}
-    membership_epoch = 0
-
-    def weight_epoch(t):
-        return (membership_epoch, 0 if (raw_pre is not None and t < config.t_fix) else 1)
-
-    def weights_at(t):
-        key = weight_epoch(t)
-        cached = weights_cache.get(key)
-        if cached is None:
-            source = raw_pre if key[1] == 0 else raw_post
-            cached = _mask_weights(source, memberships, k)
-            weights_cache[key] = cached
-        return cached
-
+    t_fix = config.t_fix if raw_pre is not None else 0
     track_sums = endogenous and k >= 2
-    sums_epoch = None
+    reads_weights = track_sums or (strategy is not None and not is_myopic)
+    membership_epoch = 0
+    epoch = None
     patterns: dict = {}  # the solver's reducibility check, per positivity pattern
-    denominator = 1
-    unvalued: list = []
 
     rates = ExchangeRateMatrix.ones(k)
     rates_timeline = [rates]
@@ -887,32 +883,8 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     if exo_matrix is not None:
         exo_matrix = tuple(tuple(float(x) for x in row) for row in exo_matrix)
 
-    def exogenous_mrs(t):
-        if exo_matrix is not None:
-            return exo_matrix
-        m = float(config.rates.mrs12.at(t))
-        return ((1.0, m), (1.0 / m, 1.0))
-
-    join_schedule = {t: tuple(entries) for t, entries in config.joins.items()}
     snapshot_interval = config.snapshot_interval
-    strategy = regime.strategy if isinstance(regime, JointEgalitarian) else None
-    is_myopic = isinstance(strategy, Myopic)
-    is_fixed = isinstance(strategy, FixedCurrency)
     no_joins = frozenset()
-
-    single_regime = isinstance(regime, EgalitarianSingle)
-    if single_regime:
-        si = regime.community
-
-        def single_mint_keys():
-            # (agent, balance/minted key, holdings bucket) per member,
-            # rebuilt only when the membership changes
-            return [
-                (agent, (agent, si), holdings[(agent, si)])
-                for agent in member_tuple[si]
-            ]
-
-        single_keys = single_mint_keys()
 
     def move(coin, payer, payee):
         # start_len and moved_old are the current step's
@@ -928,72 +900,50 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             book(payer, i, -1)
             book(payee, i, 1)
 
-    # the membership record is shared by every step until the next join
-    members_record = dict(members_frozen)
-
     for t in range(1, config.steps + 1):
         in_force = rates
         joins_t = []
-        if t in join_schedule:
-            for agent, cur in join_schedule[t]:
-                members[cur].add(agent)
-                members_frozen[cur] = frozenset(members[cur])
-                member_tuple[cur] = tuple(sorted(members[cur]))
-                if (agent, cur) not in balance:
-                    balance[(agent, cur)] = 0
-                    holdings[(agent, cur)] = {}
+        if t in config.joins:
+            members_record = dict(members_record)
+            for agent, cur in config.joins[t]:
+                members_record[cur] = members_record[cur] | {agent}
+                balance[(agent, cur)] = 0
+                holdings[(agent, cur)] = {}
                 joins_t.append((agent, cur))
-            agents = sorted({a for who in members.values() for a in who})
-            memberships = {a: membership_of(a) for a in agents}
+            member_tuple, agents, memberships = index_members()
             membership_epoch += 1
-            members_record = dict(members_frozen)
-            if single_regime:
-                single_keys = single_mint_keys()
-        if track_sums and weight_epoch(t) != sums_epoch:
-            # a new weight epoch (a join, or t_fix): rebuild the sums, so a
-            # joining agent has its scaled weights before its first coin
-            sums_epoch = weight_epoch(t)
-            weight_rows = weights_at(t)
-            flat, denominator = dyadic_integers(
-                [w for a in agents for w in weight_rows[a]]
+            if single is not None:
+                single_mints = [(agent, single) for agent in member_tuple[single]]
+        if reads_weights and (membership_epoch, t < t_fix) != epoch:
+            epoch = (membership_epoch, t < t_fix)
+            weight_rows = _mask_weights(
+                raw_pre if t < t_fix else config.preferences, memberships, k
             )
-            scaled = {a: flat[n * k:(n + 1) * k] for n, a in enumerate(agents)}
-            sums = [[0] * k for _ in currencies]
-            for (a, j), held in balance.items():
-                if held:
-                    column = sums[j - 1]
-                    for x, w in enumerate(scaled[a]):
-                        column[x] += w * held
-            unvalued = [
-                i for i in currencies if not any(row[i - 1] for row in scaled.values())
-            ]
+            if track_sums:
+                # rebuild the sums, so a joining agent has its scaled
+                # weights before its first coin
+                flat, denominator = dyadic_integers(
+                    [w for a in agents for w in weight_rows[a]]
+                )
+                scaled = {a: flat[n * k:(n + 1) * k] for n, a in enumerate(agents)}
+                sums = [[0] * k for _ in currencies]
+                for (a, j), held in balance.items():
+                    if held:
+                        column = sums[j - 1]
+                        for x, w in enumerate(scaled[a]):
+                            column[x] += w * held
+                unvalued = [
+                    i for i in currencies if not any(row[i - 1] for row in scaled.values())
+                ]
 
-        start_len = {i: len(coins_by[i]) for i in currencies}
+        start_len = dict(count)
         minted: dict = {}
         moved_old: dict = {}
         settled = False
 
-        # -- minting (inlined: this is the hot path) -----------------------
-        if single_regime:
-            coins_i = coins_by[si]
-            serial = count[si]
-            for agent, key, bucket in single_keys:
-                coin = (si, serial)
-                serial += 1
-                coins_i.append(coin)
-                holder[coin] = agent
-                bucket[coin] = None
-                balance[key] += 1
-                minted[key] = 1
-                if sums is not None:
-                    book(agent, si, 1)
-            count[si] = serial
-        elif isinstance(regime, EqualBirthGrant):
-            for agent, i in sorted(joins_t):
-                for _ in range(regime.coins):
-                    mint_coin(agent, i)
-                minted[(agent, i)] = regime.coins
-        else:
+        # -- minting: this step's (agent, currency) pairs, one per coin -----
+        mints = single_mints if single is not None else []
+        if strategy is not None:
             # two fast paths in front of the one dispatch: a single
             # membership, and the myopic choice per membership tuple
             for agent in agents:
@@ -1011,26 +961,13 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                         mine,
                         balance,
                         rates=in_force,
-                        weights=weights_at(t)[agent],
+                        weights=weight_rows[agent],
                         rng=rng,
                     )
-                coin = (choice, count[choice])
-                count[choice] += 1
-                coins_by[choice].append(coin)
-                holder[coin] = agent
-                holdings[(agent, choice)][coin] = None
-                balance[(agent, choice)] += 1
-                key = (agent, choice)
-                minted[key] = minted.get(key, 0) + 1
-                if sums is not None:
-                    book(agent, choice, 1)
-
-        if config.join_grant and not isinstance(regime, EqualBirthGrant):
-            for agent, i in sorted(joins_t):
-                for _ in range(config.join_grant):
-                    mint_coin(agent, i)
-                key = (agent, i)
-                minted[key] = minted.get(key, 0) + config.join_grant
+                mints.append((agent, choice))
+        if grant and joins_t:
+            mints = mints + [key for key in sorted(joins_t) for _ in range(grant)]
+        mint(mints, minted)
 
         # -- random trade noise (old coins only) ---------------------------
         if config.trade_noise:
@@ -1042,7 +979,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                     i = candidates[0] if n_candidates == 1 else candidates[
                         int(rnd() * n_candidates)
                     ]
-                    coin = coins_by[i][int(rnd() * start_len[i])]
+                    coin = (i, int(rnd() * start_len[i]))
                     payer = holder[coin]
                     group = member_tuple[i]
                     payee = group[int(rnd() * len(group))]
@@ -1067,7 +1004,11 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                 ranking = ranking_from_market_sums(sums)
                 solver_log.append(SolverEvent(t, 1, residual, prices))
             else:
-                mrs = exogenous_mrs(t)
+                if exo_matrix is None:
+                    m = float(config.rates.mrs12.at(t))
+                    mrs = ((1.0, m), (1.0 / m, 1.0))
+                else:
+                    mrs = exo_matrix
                 prices = None
                 ranking = ranking_from_mrs(mrs, counts_now)
             rates = coin_exchange_rates(mrs, counts_now, ranking)
@@ -1077,7 +1018,6 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             )
             if config.settlement and endogenous:
                 settled = True
-                weight_rows = weights_at(t)
                 allocation = demand(
                     [
                         [balance.get((a, i), 0) / count[i] for i in currencies]
@@ -1100,8 +1040,8 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             # settlement may move fresh coins: income follows the holder
             income = {}
             for i in currencies:
-                for coin in coins_by[i][start_len[i]:]:
-                    key = (holder[coin], i)
+                for serial in range(start_len[i], count[i]):
+                    key = (holder[(i, serial)], i)
                     income[key] = income.get(key, 0) + 1
         else:
             # noise trades touch only pre-step coins, so every fresh coin

@@ -174,6 +174,16 @@ class TestSolveEquilibrium:
         with pytest.raises(ValueError):
             solve_equilibrium(endowment, weights)
 
+    def test_nan_endowment_rejected_as_bad_columns(self):
+        # a NaN column sum is not within 1e-6 of 1, so it is no reducible economy
+        endowment = [[math.nan, 0.5], [0.5, 0.5]]
+        with pytest.raises(ValueError, match="endowment columns must sum to 1"):
+            solve_equilibrium(endowment, [[0.5, 0.5], [0.5, 0.5]])
+
+    def test_nan_market_entry_rejected(self):
+        with pytest.raises(ValueError, match="column 1 sums to nan, not 1"):
+            market_equilibrium([[math.nan, 0.5], [0.5, 0.5]])
+
 
 def general_path(market):
     """What market_equilibrium does for k >= 3, applied to any k: the oracle for k = 2."""

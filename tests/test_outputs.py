@@ -37,6 +37,13 @@ GOLDEN_SETTLED_TRIPLE = {
     "solver.csv": "d374056f6f30e5c5508ab355985ee3f499cb9f6610de7ba047870963af1cf2f0",
     "justice.json": "3477d37bb867223ac88de956af1b7c5986f3510f0c3d3cf0072ab12d77a63247",
 }
+# the bundle of single_community_dilution(steps=300): the single-community
+# regime, three joins and trade noise
+GOLDEN_SINGLE = {
+    "metrics.csv": "39e3ec4be2d67f36ba117e32aac436fee6a29275a3ff51cc44bb2daae5d93820",
+    "justice.csv": "5c29b7a55c5540f81210d640d2735e48427ab353073a21d0cdd8328d41d2708a",
+    "justice.json": "3ed31d0c1f398b6fac77af85445519ab85eb489c3e60e458dadc7a24cef316d9",
+}
 
 def small_run():
     return run_scenario(scenarios.pair_convergence_exogenous(steps=40))
@@ -117,6 +124,9 @@ def test_bundle_bytes_match_golden_digests(tmp_path):
         residuals = [float(row["residual"]) for row in csv.DictReader(handle)]
     assert len(residuals) == 40
     assert max(residuals) <= 1e-15
+    single = run_scenario(scenarios.single_community_dilution(steps=300))
+    outputs.write_bundle(single, tmp_path / "single")
+    assert digests(tmp_path / "single", GOLDEN_SINGLE) == GOLDEN_SINGLE
 
 
 def test_settled_bundle_bytes_match_golden_digests(tmp_path):

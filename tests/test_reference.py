@@ -4,7 +4,8 @@ The reference replays a run on ``ledger`` networks: joins through
 ``with_member``, minting through ``minting.mint_step``, join grants as a
 second ``mint_step`` with a birth grant, and settlement through
 ``economy.settle_trades`` toward the demand at the engine's equilibrium
-prices. It solves each equilibrating step itself, with ``solve_equilibrium``
+prices. Trade noise is replayed with ``ledger.pay``, taking the engine's
+draws from the same generator. It solves each equilibrating step itself, with ``solve_equilibrium``
 on the replayed network's diluted balances, and builds the rates with the
 fully validated ``coin_exchange_rates``. Its counters come from
 ``History.extend`` on the replayed networks. On random small configs, every
@@ -42,6 +43,7 @@ from currencynet.engine import (
     validate_config,
 )
 from currencynet.errors import DegenerateEconomyError
+from currencynet.ledger import Coin, pay
 from currencynet.minting import EqualBirthGrant, mint_step
 
 AGENTS = ("a", "b", "c", "d", "e")
@@ -134,6 +136,7 @@ def configs(draw):
         regime=regime,
         joins=joins,
         join_grant=draw(st.integers(0, 2)),
+        trade_noise=draw(st.integers(0, 3)),
         rates=rates,
         k_eq=draw(st.integers(1, 3)),
         settlement=endogenous and draw(st.booleans()),
@@ -164,6 +167,24 @@ def exogenous_mrs(config, t):
         return config.rates.mrs_matrix
     m = float(config.rates.mrs12.at(t))
     return ((1.0, m), (1.0 / m, 1.0))
+
+
+def trade_noise(network, draws, start_counts, rng):
+    """The engine's noise trades: each pays a random coin that existed at the
+    step's start (currency drawn only when several had coins) to a random
+    member of its community, both drawn from ``rng`` in the engine's order."""
+    candidates = [i for i, n in zip(network.currencies, start_counts) if n]
+    for _ in range(draws if candidates else 0):
+        i = candidates[0]
+        if len(candidates) > 1:
+            i = candidates[int(rng.random() * len(candidates))]
+        coin = Coin(i, int(rng.random() * start_counts[i - 1]))
+        group = sorted(network.members(i))
+        payee = group[int(rng.random() * len(group))]
+        payer = network.holder[coin]
+        if payer != payee:
+            network = pay(network, coin, payer, payee)
+    return network
 
 
 def assert_close(actual, expected, what):
@@ -227,6 +248,7 @@ def test_reference_layer_replays_every_engine_step(config):
         for agent, i in joiners:
             network = network.with_member(agent, i)
         weights = masked_weights(config, network, t)
+        start_counts = [network.coin_count(i) for i in network.currencies]
         # the engine's matrix, held to ``rates`` above, carries the exact
         # ranking that the replay's float rates cannot
         network, minted = mint_step(
@@ -243,6 +265,7 @@ def test_reference_layer_replays_every_engine_step(config):
             )
             for key, n in granted.items():
                 minted[key] = minted.get(key, 0) + n
+        network = trade_noise(network, config.trade_noise, start_counts, rng)
         counts = [network.coin_count(i) for i in network.currencies]
         equilibrates = config.k >= 2 and t % config.k_eq == 0 and all(counts)
         assert (t in events) == equilibrates, t
