@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Scaling grid: run time per agent-step and retained memory against agent count.
+
+Each point is an exogenous joint-myopic run on two overlapping communities:
+a third of the agents only in community 1, a third in both, a third only in
+community 2, one to three initial coins each, a constant substitution rate
+of 1.5 and n/4 random payments a step. The time is the fastest of
+``REPEATS`` untraced runs. Memory comes from a separate ``tracemalloc``
+pass that times nothing (tracing slows a run many times over): ``retained``
+is what the run's history holds once the run returns, ``peak`` the most the
+run had allocated at once.
+
+    python scripts/scaling_grid.py                              # 30 x 2000, 300 x 1000, 3000 x 300
+    python scripts/scaling_grid.py --agents 30 300 --steps 200
+"""
+import argparse
+import gc
+import random
+import sys
+import time
+import tracemalloc
+
+from currencynet.engine import (
+    CommunityConfig,
+    MrsSchedule,
+    RatesConfig,
+    ScenarioConfig,
+    run_scenario,
+)
+
+DEFAULT_GRID = ((30, 2000), (300, 1000), (3000, 300))
+REPEATS = 3  # untraced runs per point
+
+
+def grid_config(agents: int, steps: int, seed: int = 1) -> ScenarioConfig:
+    rng = random.Random(seed)
+    names = [f"a{n:05d}" for n in range(agents)]
+    third = agents // 3
+    members_1 = tuple(names[: 2 * third])
+    members_2 = tuple(names[third:])
+    return ScenarioConfig(
+        name=f"scaling_{agents}x{steps}",
+        communities=(
+            CommunityConfig(1, members_1, {a: rng.randint(1, 3) for a in members_1}),
+            CommunityConfig(2, members_2, {a: rng.randint(1, 3) for a in members_2}),
+        ),
+        steps=steps,
+        seed=seed,
+        regime="joint_myopic",
+        rates=RatesConfig(mode="exogenous", mrs12=MrsSchedule(kind="constant", value=1.5)),
+        k_eq=1,
+        trade_noise=agents // 4,
+        final_snapshot=False,
+    )
+
+
+def time_point(config: ScenarioConfig, repeats: int) -> float:
+    """The fastest of ``repeats`` untraced runs, in seconds."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        run_scenario(config)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def memory_point(config: ScenarioConfig) -> tuple:
+    """(retained, peak) in MB, from one traced run that is not timed."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        history = run_scenario(config).history  # the rest of the result is freed
+        gc.collect()
+        current, peak = tracemalloc.get_traced_memory()
+        del history
+    finally:
+        tracemalloc.stop()
+    return (current - base) / 2**20, (peak - base) / 2**20
+
+
+def grid(points, repeats: int) -> list:
+    rows = []
+    for agents, steps in points:
+        config = grid_config(agents, steps)
+        seconds = time_point(config, repeats)
+        retained, peak = memory_point(config)
+        rows.append((agents, steps, seconds, seconds / (agents * steps) * 1e6, retained, peak))
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("--agents", type=int, nargs="+", help="agent counts, default 30 300 3000")
+    parser.add_argument(
+        "--steps", type=int, nargs="+",
+        help="steps, one for every agent count or one for all; default 2000 1000 300",
+    )
+    args = parser.parse_args(argv)
+    agents = args.agents or [n for n, _ in DEFAULT_GRID]
+    steps = args.steps or [s for _, s in DEFAULT_GRID]
+    if len(steps) == 1:
+        steps = steps * len(agents)
+    if len(steps) != len(agents) or min(agents) < 3 or min(steps) < 1:
+        parser.error("need at least 3 agents and 1 step a point, and one --steps or one per agent count")
+    print("| agents × steps | run | µs/agent-step | retained | peak |")
+    print("| --- | --- | --- | --- | --- |")
+    for n, t, seconds, per_agent_step, retained, peak in grid(zip(agents, steps), REPEATS):
+        print(
+            f"| {n} × {t} | {seconds:.3f} s | {per_agent_step:.2f} "
+            f"| {retained:.2f} MB | {peak:.2f} MB |"
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -660,9 +660,12 @@ class RunResult:
         series = self._memo.get(key)
         if series is None:
             agents = history.agents
+            columns = history.key_columns(agents)
             rows = [
-                _justice_values(agents, step, cashflow, self._weights(step.t, reference))
-                for step, cashflow in history.cashflow_steps()
+                _justice_values(
+                    columns, step, balance, cashflow, self._weights(step.t, reference)
+                )
+                for step, balance, cashflow in history.cashflow_steps()
             ]
             series = self._memo[key] = dict(zip(agents, map(list, zip(*rows))))
         return series
@@ -670,10 +673,14 @@ class RunResult:
     def justice_final(self, reference: int = 1) -> dict:
         """Per-agent justice value at the final step."""
         history = self.history
-        for final, cashflow in history.cashflow_steps():
+        for final, balance, cashflow in history.cashflow_steps():
             pass  # run the cashflow up to the last step
         values = _justice_values(
-            history.agents, final, cashflow, self._weights(final.t, reference)
+            history.key_columns(history.agents),
+            final,
+            balance,
+            cashflow,
+            self._weights(final.t, reference),
         )
         return dict(zip(history.agents, values))
 
@@ -787,18 +794,21 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
 
     member_tuple, agents, memberships = index_members()
 
+    # the history starts from the initial network and indexes every member
+    # (agent, currency) key; held[c] is the coin count of keys[c], so each
+    # step records ``held`` as its balance row
+    start = initial_network(config)
+    history = History(start)
+    keys = history.keys
+    key_column = history.columns
+
     # engine-internal coins are bare (currency, serial) tuples, currency i
     # holding (i, 0) .. (i, count[i] - 1); they become Coin values only
     # when a snapshot is materialized
     holder: dict = {}
-    holdings: dict = {}
-    balance: dict = {}
+    holdings = {key: {} for key in keys}
+    held = [0] * len(keys)
     count = {i: 0 for i in currencies}
-
-    for a in agents:
-        for i in memberships[a]:
-            balance[(a, i)] = 0
-            holdings[(a, i)] = {}
 
     # endogenous runs keep the market sums exactly: sums[j - 1][i - 1] is
     # S_ij = sum_a W_ai * balance(a, j), with each weight epoch's weights
@@ -814,28 +824,22 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         for x in columns:
             column[x] += sign * row[x]
 
-    def mint(mints, minted):
-        # the one place coins are created: one per (agent, currency) pair
-        for key in mints:
+    def mint(mints):
+        # the one place coins are created: one per (agent, currency) pair;
+        # returns the key column of each coin
+        cols = list(map(key_column.__getitem__, mints))
+        for key, c in zip(mints, cols):
             agent, i = key
             coin = (i, count[i])
             count[i] += 1
             holder[coin] = agent
             holdings[key][coin] = None
-            balance[key] += 1
-            minted[key] = minted.get(key, 0) + 1
+            held[c] += 1
             if sums is not None:
                 book(agent, i, 1)
+        return cols
 
-    mint(
-        [
-            (agent, cc.index)
-            for cc in config.communities
-            for agent in sorted(cc.initial_coins)
-            for _ in range(cc.initial_coins[agent])
-        ],
-        {},
-    )
+    mint([(start.holder[Coin(i, s)], i) for i in currencies for s in range(start.coin_count(i))])
 
     def materialize():
         communities = tuple(
@@ -847,8 +851,6 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         return CurrencyNetwork(
             communities, {Coin(*coin): agent for coin, agent in holder.items()}
         )
-
-    history = History(materialize())
 
     strategy = regime.strategy if isinstance(regime, JointEgalitarian) else None
     is_myopic = isinstance(strategy, Myopic)
@@ -892,8 +894,8 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         if coin[1] < start_len[i] and coin not in moved_old:
             moved_old[coin] = payer
         holder[coin] = payee
-        balance[(payer, i)] -= 1
-        balance[(payee, i)] += 1
+        held[key_column[(payer, i)]] -= 1
+        held[key_column[(payee, i)]] += 1
         del holdings[(payer, i)][coin]
         holdings[(payee, i)][coin] = None
         if sums is not None:
@@ -907,9 +909,10 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             members_record = dict(members_record)
             for agent, cur in config.joins[t]:
                 members_record[cur] = members_record[cur] | {agent}
-                balance[(agent, cur)] = 0
-                holdings[(agent, cur)] = {}
                 joins_t.append((agent, cur))
+            for key in history.extend_index(members_record):
+                held.append(0)
+                holdings[key] = {}
             member_tuple, agents, memberships = index_members()
             membership_epoch += 1
             if single is not None:
@@ -927,22 +930,22 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                 )
                 scaled = {a: flat[n * k:(n + 1) * k] for n, a in enumerate(agents)}
                 sums = [[0] * k for _ in currencies]
-                for (a, j), held in balance.items():
-                    if held:
+                for (a, j), n in zip(keys, held):
+                    if n:
                         column = sums[j - 1]
                         for x, w in enumerate(scaled[a]):
-                            column[x] += w * held
+                            column[x] += w * n
                 unvalued = [
                     i for i in currencies if not any(row[i - 1] for row in scaled.values())
                 ]
 
         start_len = dict(count)
-        minted: dict = {}
         moved_old: dict = {}
         settled = False
 
         # -- minting: this step's (agent, currency) pairs, one per coin -----
         mints = single_mints if single is not None else []
+        balances = None  # the (agent, currency) balances, for the dispatch
         if strategy is not None:
             # two fast paths in front of the one dispatch: a single
             # membership, and the myopic choice per membership tuple
@@ -955,11 +958,13 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                     if choice is None:
                         choice = myopic_choice[mine] = most_valued_coin(in_force, mine)
                 else:
+                    if balances is None:
+                        balances = dict(zip(keys, held))
                     choice = choose_mint_currency(
                         strategy,
                         agent,
                         mine,
-                        balance,
+                        balances,
                         rates=in_force,
                         weights=weight_rows[agent],
                         rng=rng,
@@ -967,7 +972,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                 mints.append((agent, choice))
         if grant and joins_t:
             mints = mints + [key for key in sorted(joins_t) for _ in range(grant)]
-        mint(mints, minted)
+        minted = mint(mints)
 
         # -- random trade noise (old coins only) ---------------------------
         if config.trade_noise:
@@ -1018,9 +1023,10 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             )
             if config.settlement and endogenous:
                 settled = True
+                balances = dict(zip(keys, held))
                 allocation = demand(
                     [
-                        [balance.get((a, i), 0) / count[i] for i in currencies]
+                        [balances.get((a, i), 0) / count[i] for i in currencies]
                         for a in agents
                     ],
                     [weight_rows[a] for a in agents],
@@ -1035,44 +1041,43 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                     ):
                         move(coin, donor, recipient)
 
-        # -- record -----------------------------------------------------
+        # -- record: each flow as key columns, one per coin ----------------
         if settled:
             # settlement may move fresh coins: income follows the holder
-            income = {}
-            for i in currencies:
-                for serial in range(start_len[i], count[i]):
-                    key = (holder[(i, serial)], i)
-                    income[key] = income.get(key, 0) + 1
+            income = [
+                key_column[(holder[(i, serial)], i)]
+                for i in currencies
+                for serial in range(start_len[i], count[i])
+            ]
         else:
             # noise trades touch only pre-step coins, so every fresh coin
             # still sits with its minter
             income = minted
-        revenue: dict = {}
-        expenses: dict = {}
+        revenue = []
+        expenses = []
         for coin, origin in moved_old.items():
             final = holder[coin]
             if final != origin:
                 i = coin[0]
-                key_out = (origin, i)
-                key_in = (final, i)
-                expenses[key_out] = expenses.get(key_out, 0) + 1
-                revenue[key_in] = revenue.get(key_in, 0) + 1
+                expenses.append(key_column[(origin, i)])
+                revenue.append(key_column[(final, i)])
 
         retain = (snapshot_interval > 0 and t % snapshot_interval == 0) or (
             t == config.steps and config.final_snapshot
         )
         history.append_step(
-            HistoryStep(
-                t=t,
-                minted=minted,
-                joins=frozenset(joins_t) if joins_t else no_joins,
-                members=members_record,
-                coin_counts=dict(count),
-                balances=dict(balance),
-                income=income,
-                revenue=revenue,
-                expenses=expenses,
-                network=materialize() if retain else None,
+            HistoryStep.from_columns(
+                keys,
+                t,
+                frozenset(joins_t) if joins_t else no_joins,
+                members_record,
+                tuple(count.values()),
+                held,
+                minted,
+                income,
+                revenue,
+                expenses,
+                materialize() if retain else None,
             )
         )
         rates_timeline.append(in_force)

@@ -33,6 +33,11 @@ class MonotonicityViolationError(CurrencyNetError):
     """An agent or coin disappeared between consecutive steps."""
 
 
+class RecordError(CurrencyNetError):
+    """A step record the history cannot hold: coins of a non-member key, a
+    negative flow, or a balance row that does not span the key index."""
+
+
 # --- economy --------------------------------------------------------------
 
 class EmptyCurrencyError(CurrencyNetError):

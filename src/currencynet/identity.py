@@ -205,10 +205,11 @@ def sybil_locality_report(
                 total[person] += value * weight
         return total
 
-    for step, cashflow in history.cashflow_steps():
+    columns = history.key_columns(agents)
+    for step, balance, cashflow in history.cashflow_steps():
         t = step.t
         ex = rates_by_step[t] if t < len(rates_by_step) else rates_by_step[-1]
-        values = owned(justice_values(agents, step, cashflow, ex.column(reference)))
+        values = owned(justice_values(columns, step, balance, cashflow, ex.column(reference)))
         for person in persons:
             shares[person].append(values[person])
 
@@ -217,7 +218,7 @@ def sybil_locality_report(
     per_currency = {
         i: owned(
             justice_values(
-                agents, final, cashflow, [float(j == i) for j in currencies]
+                columns, final, balance, cashflow, [float(j == i) for j in currencies]
             )
         )
         for i in currencies

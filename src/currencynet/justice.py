@@ -10,6 +10,7 @@ diluting; arbitrage-freeness makes the result independent of the reference.
 from __future__ import annotations
 
 import math
+from operator import sub
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .accounting import History
@@ -17,30 +18,27 @@ from .economy import ExchangeRateMatrix, ordered_sum
 from .errors import BadIndexError, ConditionViolatedError, InvalidRatesError, TooShortError
 
 
-def justice_values(agents, step, cashflow, weights) -> list:
+def justice_values(columns, step, balance, cashflow, weights) -> list:
     """Each agent's balance minus cashflow, weighted and diluted, at ``step``.
 
-    ``step`` carries ``balances`` ((agent, currency) -> coins) and
-    ``coin_counts``, ``cashflow`` maps (agent, currency) to the cumulative
-    cashflow, and ``weights`` lists the value of one coin of each currency
-    in the reference currency. The currencies are added left to right, like
-    ``economy.ordered_sum``. NaN while the network holds no value.
+    ``columns`` lists, per currency 1..k, each agent's column in the key
+    index (``History.key_columns``); ``step`` carries the coin ``counts``;
+    ``balance`` and ``cashflow`` are the step's rows from
+    ``History.cashflow_steps``; and ``weights`` lists the value of one coin of
+    each currency in the reference currency. The currencies are added left
+    to right, like ``economy.ordered_sum``. NaN while the network holds no
+    value.
     """
-    balances = step.balances
-    weighted = tuple(enumerate(weights, 1))
-    counts = step.coin_counts
     denominator = 0.0
-    for i, w in weighted:
-        denominator += counts[i] * w
+    for count, w in zip(step.counts, weights):
+        denominator += count * w
     if not denominator:
-        return [math.nan] * len(agents)
-    values = []
-    for a in agents:
-        total = 0.0
-        for i, w in weighted:
-            total += (balances.get((a, i), 0) - cashflow[(a, i)]) * w
-        values.append(total / denominator)
-    return values
+        return [math.nan] * len(columns[0])
+    held = list(map(sub, balance, cashflow))
+    totals = [0.0] * len(columns[0])
+    for cols, w in zip(columns, weights):
+        totals = [total + held[c] * w for total, c in zip(totals, cols)]
+    return [total / denominator for total in totals]
 
 
 def justice_value_single(history: History, t: int, v: str) -> float:

@@ -10,6 +10,7 @@ import io
 import json
 import math
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
@@ -28,24 +29,34 @@ METRICS_COLUMNS = (
 )
 
 
+def _metric_keys(history: History) -> list:
+    """The (agent, currency) keys of the metrics rows, in row order."""
+    return [(a, i) for a in history.agents for i in history.currencies]
+
+
+def _metric_columns(history: History):
+    """Per step, the metrics of the :func:`_metric_keys` in row order.
+
+    Yields ``(t, balance, income, revenue, expenses, cashflow)``, each
+    metric a tuple aligned with those keys.
+    """
+    positions = [c for cols in zip(*history.key_columns(history.agents)) for c in cols]
+    if len(positions) == 1:  # itemgetter of one position gives no tuple
+
+        def pick(values, position=positions[0]):
+            return (values[position],)
+
+    else:
+        pick = itemgetter(*positions)
+    for step, balance, cashflow in history.cashflow_steps():
+        yield (step.t, pick(balance), *map(pick, history.dense_flows(step)), pick(cashflow))
+
+
 def metrics_rows(history: History):
-    keys = [(a, i) for a in history.agents for i in history.currencies]
-    for step, cashflow in history.cashflow_steps():
-        t = step.t
-        balance = step.balances.get
-        income = step.income.get
-        revenue = step.revenue.get
-        expenses = step.expenses.get
-        for key in keys:
-            yield (
-                t,
-                *key,
-                balance(key, 0),
-                income(key, 0),
-                revenue(key, 0),
-                expenses(key, 0),
-                cashflow[key],
-            )
+    keys = _metric_keys(history)
+    for t, *metrics in _metric_columns(history):
+        for key, values in zip(keys, zip(*metrics)):
+            yield (t, *key, *values)
 
 
 def _csv_field(text: str) -> str:
@@ -61,25 +72,17 @@ def write_metrics_csv(history: History, path) -> None:
     Gives the same bytes as ``csv.writer``: the numbers are ints, and each
     agent name is quoted once, by ``csv.writer`` itself.
     """
-    keyed = [
-        ((agent, i), f"{_csv_field(agent)},{i}")
-        for agent in history.agents
-        for i in history.currencies
-    ]
+    texts = [f"{_csv_field(agent)},{i}" for agent, i in _metric_keys(history)]
     with open(path, "w", newline="") as handle:
         handle.write(",".join(METRICS_COLUMNS) + "\r\n")
-        for step, cashflow in history.cashflow_steps():
-            t = step.t
-            balance = step.balances.get
-            income = step.income.get
-            revenue = step.revenue.get
-            expenses = step.expenses.get
+        for t, balance, income, revenue, expenses, cashflow in _metric_columns(history):
             handle.write(
                 "".join(
                     [
-                        f"{t},{text},{balance(key, 0)},{income(key, 0)},{revenue(key, 0)},"
-                        f"{expenses(key, 0)},{cashflow[key]}\r\n"
-                        for key, text in keyed
+                        f"{t},{text},{b},{m},{r},{e},{c}\r\n"
+                        for text, b, m, r, e, c in zip(
+                            texts, balance, income, revenue, expenses, cashflow
+                        )
                     ]
                 )
             )

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from currencynet.accounting import History, HistoryStep, check_accounting_identity
-from currencynet.errors import BadIndexError, MonotonicityViolationError
+from currencynet.errors import BadIndexError, MonotonicityViolationError, RecordError
 from currencynet.ledger import Coin, CurrencyCommunity, CurrencyNetwork, pay
 from currencynet.minting import EgalitarianSingle, mint_step
 
@@ -173,6 +173,69 @@ class TestAppendStep:
         with pytest.raises(BadIndexError):
             history.append_step(step)
 
+    def test_flow_outside_the_member_set_is_refused(self):
+        # the key index holds member keys only: a flow on any other key is
+        # refused as the step is appended, never dropped
+        network = grant_network(["a", "b"], 1)
+        history = History(network)
+        start = history.steps[0]
+        stray = HistoryStep(
+            t=1,
+            minted={},
+            joins=frozenset(),
+            members=start.members,
+            coin_counts=start.coin_counts,
+            balances=start.balances,
+            income={("z", 1): 1},
+            revenue={},
+            expenses={},
+        )
+        assert stray.income == {("z", 1): 1}
+        with pytest.raises(RecordError, match=r"\('z', 1\)"):
+            history.append_step(stray)
+        assert history.last_step == 0
+        assert history.keys == [("a", 1), ("b", 1)]
+
+    def test_balance_outside_the_member_set_is_refused(self):
+        network = grant_network(["a", "b"], 1)
+        history = History(network)
+        start = history.steps[0]
+        balances = {**start.balances, ("z", 1): 0}
+        kept = HistoryStep(1, {}, frozenset(), start.members, start.coin_counts, balances, {}, {}, {})
+        history.append_step(kept)  # a zero balance holds no coin
+        assert history.steps[1].balances == start.balances
+        balances = {("a", 1): 1, ("b", 1): 0, ("z", 1): 1}
+        stray = HistoryStep(2, {}, frozenset(), start.members, start.coin_counts, balances, {}, {}, {})
+        with pytest.raises(RecordError):
+            history.append_step(stray)
+
+    def test_row_must_span_the_key_index(self):
+        network = grant_network(["a", "b"], 1)
+        history = History(network)
+        start = history.steps[0]
+        short = HistoryStep.from_columns(
+            history.keys, 1, frozenset(), start.members, start.counts, start.row[:1],
+            start.minted_cols, start.income_cols, start.revenue_cols, start.expenses_cols,
+        )
+        with pytest.raises(RecordError):
+            history.append_step(short)
+        # a newcomer's key counts as indexed only once its step is appended
+        members = {1: start.members[1] | {"c"}}
+        for row, accepted in ((start.row, False), ([1, 1, 0], True)):
+            step = HistoryStep.from_columns(
+                history.keys, 1, frozenset({("c", 1)}), members, start.counts, row,
+                (), (), (), (),
+            )
+            if accepted:
+                history.append_step(step)
+            else:
+                with pytest.raises(RecordError):
+                    history.append_step(step)
+                assert history.keys == [("a", 1), ("b", 1)]
+                assert history.columns == {("a", 1): 0, ("b", 1): 1}
+        assert history.keys == [("a", 1), ("b", 1), ("c", 1)]
+        assert history.steps[1].balances == {("a", 1): 1, ("b", 1): 1, ("c", 1): 0}
+
     def test_minted_record_must_match_growth(self):
         network = grant_network(["a"], 0)
         grown = network.with_coins({Coin(1, 0): "a"})
@@ -197,6 +260,45 @@ class TestAccountingIdentity:
         report = check_accounting_identity(history)
         assert not report.ok
         assert any(v.t == 5 or v.t == 6 for v in report.violations)
+
+    def test_corrupted_counter_steps_detected(self):
+        # counter-only steps, built from member-key dicts, with no snapshot
+        # to derive them from: each identity is checked on the records alone
+        history = History(grant_network(["a", "b"], 1))
+        members = history.steps[0].members
+        records = (  # minted, coins, balance of a and b, income, revenue, expenses
+            ({}, 2, (1, 1), {}, {("b", 1): 1}, {("a", 1): 1}),  # a payment left out of the balances
+            ({}, 2, (1, 1), {}, {}, {}),  # consistent again: nothing is reported twice
+            ({}, 2, (2, 0), {}, {}, {}),  # a coin moved with no flow recorded
+            ({("a", 1): 1}, 3, (2, 0), {("a", 1): 1}, {}, {}),  # a minted coin held by no one
+        )
+        for t, (minted, coins, (a, b), income, revenue, expenses) in enumerate(records, 1):
+            history.append_step(
+                HistoryStep(
+                    t, minted, frozenset(), members, {1: coins},
+                    {("a", 1): a, ("b", 1): b}, income, revenue, expenses,
+                )
+            )
+        report = check_accounting_identity(history)
+        assert report.steps_checked == 4
+        assert report.checks == 8
+        flow = "income {} + revenue {} - expenses {} != balance delta {}".format
+        cumulative = "b0 + accumulated flows {} != balance {}".format
+        assert sorted(report.violations) == sorted(
+            [
+                (1, "a", 1, "flow", flow(0, 0, 1, 0)),
+                (1, "a", 1, "cumulative", cumulative(0, 1)),
+                (1, "b", 1, "flow", flow(0, 1, 0, 0)),
+                (1, "b", 1, "cumulative", cumulative(2, 1)),
+                (3, "a", 1, "flow", flow(0, 0, 0, 1)),
+                (3, "a", 1, "cumulative", cumulative(1, 2)),
+                (3, "b", 1, "flow", flow(0, 0, 0, -1)),
+                (3, "b", 1, "cumulative", cumulative(1, 0)),
+                (4, "a", 1, "flow", flow(1, 0, 0, 0)),
+                (4, "a", 1, "cumulative", cumulative(3, 2)),
+                (4, "*", 1, "conservation", "balances sum to 2 but currency has 3 coins"),
+            ]
+        )
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=10)

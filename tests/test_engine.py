@@ -75,9 +75,17 @@ class TestRatesInForce:
         )
         jump = [event for event in result.rates_log if event.mrs[0][1] == 3.0]
         assert jump[0].t == 50
-        # the overlap agents can only react one step later
-        assert result.history.steps[50].minted.get(("b", 1), 0) == 0 or True
-        assert result.ex12[50] == jump[0].ex[0][1]
+        # the overlap agents can only react one step later: at step 50 the
+        # pre-jump rates are in force and value currency 2's coin more, so
+        # b and c mint currency 2; from step 51 ex12 = 3 and they mint 1
+        assert result.rates_timeline[50].ex[0][1] < 1.0
+        assert result.history.steps[50].minted == {
+            ("a", 1): 1, ("b", 2): 1, ("c", 2): 1, ("d", 2): 1
+        }
+        for t in range(51, 61):
+            minted = result.history.steps[t].minted
+            assert minted.get(("b", 1)) == minted.get(("c", 1)) == 1, t
+        assert result.ex12[50] == jump[0].ex[0][1] == 3.0
 
 
 class TestRegimes:

@@ -1,6 +1,5 @@
 import csv
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -221,13 +220,20 @@ class TestConvergenceReport:
         # a holds one coin of currencies 1, 3 and 4, b one coin of 2; left to
         # right, the denominator's 1e16 + 1.0 rounds back to 1e16, so it ends
         # at 1.0 and both values are 1.0 (a compensated sum gives 2.0 and 1/2)
-        step = SimpleNamespace(
-            balances={("a", 1): 1, ("a", 3): 1, ("a", 4): 1, ("b", 2): 1},
-            coin_counts={1: 1, 2: 1, 3: 1, 4: 1},
+        history = History(
+            make_network(
+                {
+                    1: (["a"], {"a": 1}),
+                    2: (["b"], {"b": 1}),
+                    3: (["a"], {"a": 1}),
+                    4: (["a"], {"a": 1}),
+                }
+            )
         )
-        cashflow = dict.fromkeys([(a, i) for a in "ab" for i in range(1, 5)], 0)
+        ((step, balance, cashflow),) = history.cashflow_steps()
+        columns = history.key_columns(("a", "b"))
         weights = [1e16, 1.0, -1e16, 1.0]
-        assert _justice_values(("a", "b"), step, cashflow, weights) == [1.0, 1.0]
+        assert _justice_values(columns, step, balance, cashflow, weights) == [1.0, 1.0]
 
 
 def settled_triple(steps=30):

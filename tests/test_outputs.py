@@ -44,6 +44,33 @@ GOLDEN_SINGLE = {
     "justice.csv": "5c29b7a55c5540f81210d640d2735e48427ab353073a21d0cdd8328d41d2708a",
     "justice.json": "3ed31d0c1f398b6fac77af85445519ab85eb489c3e60e458dadc7a24cef316d9",
 }
+# the bundle of permuted_index(): the history's key index holds the founders'
+# keys, then ("a", 2), ("m", 2) and ("a", 1) as they join, so it is no longer
+# in the sorted order the writers list keys in
+GOLDEN_PERMUTED_INDEX = {
+    "metrics.csv": "28df2790000afaed1189fc59ca1bc0f1bd0151f18dc44768200a5f7a2a05af63",
+    "justice.csv": "d3e2730e8f2514c58c3364242cb480264c34723876fa9e1115ce829e03c97eb4",
+    "justice.json": "cf52f7fffb742baf26271915e78312881be1c578a91613f7838d4171e912fc68",
+}
+
+
+def permuted_index():
+    """A newcomer sorting before every founder joins 2, then 1; founder m joins 2."""
+    return ScenarioConfig(
+        name="permuted_index",
+        communities=(
+            CommunityConfig(1, ("m", "n", "p"), {"m": 2, "n": 1, "p": 1}),
+            CommunityConfig(2, ("p", "q", "r"), {"p": 1, "q": 2, "r": 1}),
+        ),
+        steps=30,
+        seed=11,
+        regime="joint_myopic",
+        joins={4: (("a", 2),), 6: (("m", 2),), 9: (("a", 1),)},
+        join_grant=1,
+        rates=RatesConfig(mode="exogenous", mrs12=MrsSchedule(kind="constant", value=1.5)),
+        trade_noise=2,
+    )
+
 
 def small_run():
     return run_scenario(scenarios.pair_convergence_exogenous(steps=40))
@@ -132,6 +159,17 @@ def test_bundle_bytes_match_golden_digests(tmp_path):
 def test_settled_bundle_bytes_match_golden_digests(tmp_path):
     outputs.write_bundle(run_scenario(settled_triple()), tmp_path)
     assert digests(tmp_path, GOLDEN_SETTLED_TRIPLE) == GOLDEN_SETTLED_TRIPLE
+
+
+def test_permuted_key_index_bundle_matches_golden_digests(tmp_path):
+    result = run_scenario(permuted_index())
+    keys = result.history.keys
+    assert keys[-3:] == [("a", 2), ("m", 2), ("a", 1)]
+    assert keys != sorted(keys)
+    # trade noise moved coins between agents, so the cashflow columns count
+    assert any(step.revenue for step in result.history.steps)
+    outputs.write_bundle(result, tmp_path)
+    assert digests(tmp_path, GOLDEN_PERMUTED_INDEX) == GOLDEN_PERMUTED_INDEX
 
 def test_agent_names_needing_quotes_round_trip(tmp_path):
     odd = ("x,y", 'q"t')

@@ -1,0 +1,55 @@
+"""scripts/scaling_grid.py at a tiny size."""
+import importlib.util
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
+from currencynet.engine import validate_config
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "scaling_grid.py"
+
+
+@pytest.fixture(scope="module")
+def scaling_grid():
+    spec = importlib.util.spec_from_file_location("scaling_grid", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_config_has_two_communities_sharing_a_third(scaling_grid):
+    config = scaling_grid.grid_config(12, 5)
+    one, two = (set(cc.members) for cc in config.communities)
+    assert len(one & two) == len(one - two) == len(two - one) == 4
+    assert config.trade_noise == 3
+    diagnostics = validate_config(config)
+    assert not [d for d in diagnostics if d.level == "error"]
+    assert any(d.code == "convergence" and d.level == "info" for d in diagnostics)
+
+
+def test_grid_prints_one_row_per_point(scaling_grid, capsys):
+    assert scaling_grid.main(["--agents", "6", "9", "--steps", "20"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    assert lines[2].startswith("| 6 × 20 | ") and lines[3].startswith("| 9 × 20 | ")
+    for line in lines[2:]:
+        cells = [cell.split()[0] for cell in line.strip("| ").split(" | ")[1:]]
+        assert all(float(cell) > 0 for cell in cells), line
+
+
+def test_timing_is_untraced_and_memory_untimed(scaling_grid, monkeypatch):
+    traced = []
+    run = scaling_grid.run_scenario
+
+    def watched(config):
+        traced.append(tracemalloc.is_tracing())
+        return run(config)
+
+    monkeypatch.setattr(scaling_grid, "run_scenario", watched)
+    config = scaling_grid.grid_config(6, 10)
+    assert scaling_grid.time_point(config, 2) > 0
+    retained, peak = scaling_grid.memory_point(config)
+    assert traced == [False, False, True]
+    assert 0 < retained <= peak
+    assert not tracemalloc.is_tracing()
