@@ -19,6 +19,8 @@ Python; functions also accept 2-d arrays as input.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from itertools import compress, count, islice
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -546,25 +548,26 @@ def largest_remainder_targets(fractions: Sequence[float], total: int) -> list:
     return base
 
 
-def settlement_moves(currency: int, agents: Sequence[str], targets, holdings) -> list:
-    """The transfers that bring each agent's holding of ``currency`` to its target.
+def settlement_moves(agents: Sequence[str], have, targets, holders) -> list:
+    """The transfers that bring each agent's holding of one currency to its target.
 
-    ``targets[n]`` is the coin count ``agents[n]`` should end up with, and
-    ``holdings`` maps (agent, currency) to the coins that agent holds (a
-    missing key holds none). Returns (coin, donor, recipient) triples.
+    ``have[n]`` is the coin count ``agents[n]`` holds and ``targets[n]`` the
+    count it should end up with; ``holders`` lists the holder of each of the
+    currency's coins in ascending serial order. Returns (position, donor,
+    recipient) triples, ``holders[position]`` being the donor's coin.
     Donors hand over their lowest-serial coins first, in agent order, and
-    recipients are served in agent order. Only the donors' coins are sorted.
+    recipients are served in agent order. Only the donors' coins are looked
+    up, each donor's by a scan of ``holders`` that stops at its surplus.
     """
     given = []
     wanted = []
-    for agent, want in zip(agents, targets):
-        held = holdings.get((agent, currency), ())
-        have = len(held)
-        if have > want:
-            given += [(coin, agent) for coin in sorted(held)[: have - want]]
-        elif want > have:
-            wanted += [agent] * (want - have)
-    return [(coin, donor, recipient) for (coin, donor), recipient in zip(given, wanted)]
+    for agent, n, want in zip(agents, have, targets):
+        if n > want:
+            mine = compress(count(), map(agent.__eq__, holders))
+            given += [(position, agent) for position in islice(mine, n - want)]
+        elif want > n:
+            wanted += [agent] * (want - n)
+    return [(position, donor, recipient) for (position, donor), recipient in zip(given, wanted)]
 
 
 def settle_trades(
@@ -595,17 +598,16 @@ def settle_trades(
     if any(abs(total - 1.0) > 1e-9 for total in sums):
         raise InfeasibleAllocationError(f"allocation columns must sum to 1, got {sums}")
 
-    holdings: dict = {}
-    for coin, agent in network.holder.items():
-        holdings.setdefault((agent, coin.currency), []).append(coin)
-    unlisted = sorted({agent for agent, _ in holdings} - set(agents))
+    unlisted = sorted(set(network.holder.values()) - set(agents))
     if unlisted:
         raise InfeasibleAllocationError(f"coin holders without an allocation row: {unlisted}")
     current = network
     for i in network.currencies:
-        targets = largest_remainder_targets(
-            [row[i - 1] for row in allocation], network.coin_count(i)
-        )
-        for coin, donor, recipient in settlement_moves(i, agents, targets, holdings):
-            current = pay(current, coin, donor, recipient)
+        coins = sorted(network.community(i).coins)
+        holders = [network.holder[coin] for coin in coins]
+        targets = largest_remainder_targets([row[i - 1] for row in allocation], len(coins))
+        held = Counter(holders)
+        have = [held[agent] for agent in agents]
+        for position, donor, recipient in settlement_moves(agents, have, targets, holders):
+            current = pay(current, coins[position], donor, recipient)
     return current

@@ -802,13 +802,12 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     keys = history.keys
     key_column = history.columns
 
-    # engine-internal coins are bare (currency, serial) tuples, currency i
-    # holding (i, 0) .. (i, count[i] - 1); they become Coin values only
-    # when a snapshot is materialized
-    holder: dict = {}
-    holdings = {key: {} for key in keys}
+    # each coin's owner is kept once: holder[i][s] is the agent holding coin
+    # s of currency i, so currency i's coins are the serials 0 ..
+    # len(holder[i]) - 1; they become Coin values only when a snapshot is
+    # materialized
+    holder = {i: [] for i in currencies}
     held = [0] * len(keys)
-    count = {i: 0 for i in currencies}
 
     # endogenous runs keep the market sums exactly: sums[j - 1][i - 1] is
     # S_ij = sum_a W_ai * balance(a, j), with each weight epoch's weights
@@ -828,12 +827,8 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         # the one place coins are created: one per (agent, currency) pair;
         # returns the key column of each coin
         cols = list(map(key_column.__getitem__, mints))
-        for key, c in zip(mints, cols):
-            agent, i = key
-            coin = (i, count[i])
-            count[i] += 1
-            holder[coin] = agent
-            holdings[key][coin] = None
+        for (agent, i), c in zip(mints, cols):
+            holder[i].append(agent)
             held[c] += 1
             if sums is not None:
                 book(agent, i, 1)
@@ -844,12 +839,13 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     def materialize():
         communities = tuple(
             CurrencyCommunity(
-                i, members_record[i], frozenset(Coin(i, s) for s in range(count[i]))
+                i, members_record[i], frozenset(Coin(i, s) for s in range(len(holder[i])))
             )
             for i in currencies
         )
         return CurrencyNetwork(
-            communities, {Coin(*coin): agent for coin, agent in holder.items()}
+            communities,
+            {Coin(i, s): agent for i in currencies for s, agent in enumerate(holder[i])},
         )
 
     strategy = regime.strategy if isinstance(regime, JointEgalitarian) else None
@@ -888,16 +884,13 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     snapshot_interval = config.snapshot_interval
     no_joins = frozenset()
 
-    def move(coin, payer, payee):
+    def move(i, serial, payer, payee):
         # start_len and moved_old are the current step's
-        i = coin[0]
-        if coin[1] < start_len[i] and coin not in moved_old:
-            moved_old[coin] = payer
-        holder[coin] = payee
+        if serial < start_len[i]:
+            moved_old.setdefault((i, serial), payer)
+        holder[i][serial] = payee
         held[key_column[(payer, i)]] -= 1
         held[key_column[(payee, i)]] += 1
-        del holdings[(payer, i)][coin]
-        holdings[(payee, i)][coin] = None
         if sums is not None:
             book(payer, i, -1)
             book(payee, i, 1)
@@ -910,9 +903,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             for agent, cur in config.joins[t]:
                 members_record[cur] = members_record[cur] | {agent}
                 joins_t.append((agent, cur))
-            for key in history.extend_index(members_record):
-                held.append(0)
-                holdings[key] = {}
+            held += [0] * len(history.extend_index(members_record))
             member_tuple, agents, memberships = index_members()
             membership_epoch += 1
             if single is not None:
@@ -939,7 +930,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                     i for i in currencies if not any(row[i - 1] for row in scaled.values())
                 ]
 
-        start_len = dict(count)
+        start_len = {i: len(coins) for i, coins in holder.items()}
         moved_old: dict = {}
         settled = False
 
@@ -984,16 +975,16 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                     i = candidates[0] if n_candidates == 1 else candidates[
                         int(rnd() * n_candidates)
                     ]
-                    coin = (i, int(rnd() * start_len[i]))
-                    payer = holder[coin]
+                    serial = int(rnd() * start_len[i])
+                    payer = holder[i][serial]
                     group = member_tuple[i]
                     payee = group[int(rnd() * len(group))]
                     if payer != payee:
-                        move(coin, payer, payee)
+                        move(i, serial, payer, payee)
 
         # -- equilibration --------------------------------------------------
-        if k >= 2 and t % config.k_eq == 0 and min(count.values()) > 0:
-            counts_now = list(count.values())  # keyed 1..k, in that order
+        counts_now = [len(holder[i]) for i in currencies]
+        if k >= 2 and t % config.k_eq == 0 and min(counts_now) > 0:
             if endogenous:
                 if unvalued:
                     raise DegenerateEconomyError(
@@ -1024,30 +1015,29 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             if config.settlement and endogenous:
                 settled = True
                 balances = dict(zip(keys, held))
+                # have[col][n]: the coins of currency col + 1 that agents[n] holds
+                have = [[balances.get((a, i), 0) for a in agents] for i in currencies]
                 allocation = demand(
-                    [
-                        [balances.get((a, i), 0) / count[i] for i in currencies]
-                        for a in agents
-                    ],
+                    [[n / c for n, c in zip(row, counts_now)] for row in zip(*have)],
                     [weight_rows[a] for a in agents],
                     prices,
                 )
                 for col, i in enumerate(currencies):
                     targets = largest_remainder_targets(
-                        [row[col] for row in allocation], count[i]
+                        [row[col] for row in allocation], counts_now[col]
                     )
-                    for coin, donor, recipient in settlement_moves(
-                        i, agents, targets, holdings
+                    for serial, donor, recipient in settlement_moves(
+                        agents, have[col], targets, holder[i]
                     ):
-                        move(coin, donor, recipient)
+                        move(i, serial, donor, recipient)
 
         # -- record: each flow as key columns, one per coin ----------------
         if settled:
             # settlement may move fresh coins: income follows the holder
             income = [
-                key_column[(holder[(i, serial)], i)]
+                key_column[(agent, i)]
                 for i in currencies
-                for serial in range(start_len[i], count[i])
+                for agent in holder[i][start_len[i]:]
             ]
         else:
             # noise trades touch only pre-step coins, so every fresh coin
@@ -1055,10 +1045,9 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             income = minted
         revenue = []
         expenses = []
-        for coin, origin in moved_old.items():
-            final = holder[coin]
+        for (i, serial), origin in moved_old.items():
+            final = holder[i][serial]
             if final != origin:
-                i = coin[0]
                 expenses.append(key_column[(origin, i)])
                 revenue.append(key_column[(final, i)])
 
@@ -1071,7 +1060,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                 t,
                 frozenset(joins_t) if joins_t else no_joins,
                 members_record,
-                tuple(count.values()),
+                tuple(counts_now),
                 held,
                 minted,
                 income,

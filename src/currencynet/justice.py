@@ -129,7 +129,6 @@ def predicted_mint_fraction(v1, v2, mrs_limit: float) -> float:
 class ConvergenceReport(NamedTuple):
     """Trailing-window summary of a metric series."""
 
-    series: tuple
     window: int
     trailing_mean: float
     max_deviation: float  # max |value - trailing_mean| inside the window
@@ -140,14 +139,12 @@ class ConvergenceReport(NamedTuple):
 
 def convergence_report(series: Sequence[float], window_frac: float = 0.1) -> ConvergenceReport:
     """Estimate the limit of a series from its trailing window (default 10%)."""
-    values = [float(x) for x in series]
-    if len(values) < 2:
-        raise TooShortError(f"need at least 2 points, got {len(values)}")
-    window = max(1, int(len(values) * window_frac))
-    tail = values[-window:]
+    if len(series) < 2:
+        raise TooShortError(f"need at least 2 points, got {len(series)}")
+    window = max(1, int(len(series) * window_frac))
+    tail = [float(x) for x in series[-window:]]
     mean = ordered_sum(tail) / len(tail)
     return ConvergenceReport(
-        series=tuple(values),
         window=window,
         trailing_mean=mean,
         max_deviation=max(abs(x - mean) for x in tail),

@@ -126,12 +126,6 @@ class CurrencyNetwork(_NetworkFields):
         coins = self.community(i).coins
         return max((c.serial for c in coins), default=-1) + 1
 
-    def holder_of(self, coin: Coin) -> str:
-        try:
-            return self.holder[coin]
-        except KeyError:
-            raise UnknownAgentError(f"coin {coin.token()} is not in the network") from None
-
     def with_holder(self, coin: Coin, agent: str) -> "CurrencyNetwork":
         new_holder = dict(self.holder)
         new_holder[coin] = agent

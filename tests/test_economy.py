@@ -19,6 +19,7 @@ from currencynet.economy import (
     mrs_matrix,
     ranking_from_market_sums,
     settle_trades,
+    settlement_moves,
     solve_equilibrium,
     strongly_connected,
 )
@@ -30,6 +31,7 @@ from currencynet.errors import (
     NonPositivePriceError,
     ZeroCoinsError,
 )
+from currencynet.ledger import Coin, network_from_dict
 
 from conftest import make_network
 
@@ -522,6 +524,46 @@ class TestSettleTrades:
             InfeasibleAllocationError, match=r"coin holders without an allocation row: \['b'\]"
         ):
             settle_trades(network, [[1.0]], ["a"])
+
+
+class TestSettlementMoves:
+    def test_donors_give_their_lowest_serials_and_stop_scanning(self):
+        class Scanned(list):
+            # records the last position any scan of the holders read
+            last = -1
+
+            def __iter__(self):
+                for position, agent in enumerate(list.__iter__(self)):
+                    self.last = max(self.last, position)
+                    yield agent
+
+        # serials 0..7; a holds 1, 3, 5, 6 and must give 2; b holds 0, 4 and
+        # must give 1; c needs 2 and d needs 1
+        holders = Scanned(["b", "a", "c", "a", "b", "a", "a", "d"])
+        moves = settlement_moves(["a", "b", "c", "d"], [4, 2, 1, 1], [2, 1, 3, 2], holders)
+        # donors in agent order, each from its lowest serial; recipients in
+        # agent order
+        assert moves == [(1, "a", "c"), (3, "a", "c"), (0, "b", "d")]
+        assert holders.last == 3
+
+    def test_settle_trades_moves_lowest_serials_across_gaps(self):
+        network = network_from_dict(
+            {
+                "communities": [
+                    {"index": 1, "members": ["a", "b"], "coins": ["1:0", "1:3", "1:7", "1:12"]}
+                ],
+                "holder": {"1:0": "b", "1:3": "a", "1:7": "a", "1:12": "a"},
+            }
+        )
+        settled = settle_trades(network, [[0.25], [0.75]])
+        # a keeps 1 of its 3 coins and gives serials 3 and 7, the lowest by
+        # number (as tokens "1:12" would sort first)
+        assert settled.holder == {
+            Coin(1, 0): "b",
+            Coin(1, 3): "b",
+            Coin(1, 7): "b",
+            Coin(1, 12): "a",
+        }
 
 
 class TestLargestRemainder:

@@ -53,3 +53,14 @@ def test_timing_is_untraced_and_memory_untimed(scaling_grid, monkeypatch):
     assert traced == [False, False, True]
     assert 0 < retained <= peak
     assert not tracemalloc.is_tracing()
+
+
+def test_run_peak_holds_no_per_coin_dict(scaling_grid):
+    # beyond what the history retains, the run keeps one slot of its
+    # currency's holder list (8 bytes) per coin; a dict keyed by (currency,
+    # serial) costs about 136 bytes a coin, so it fails the bound
+    config = scaling_grid.grid_config(60, 200)
+    # every agent mints one coin a step and nobody joins
+    coins = sum(sum(cc.initial_coins.values()) for cc in config.communities) + 60 * 200
+    retained, peak = scaling_grid.memory_point(config)
+    assert (peak - retained) * 2**20 / coins < 64
