@@ -250,6 +250,7 @@ class History:
         self._currencies = tuple(range(1, len(step.members) + 1))
         self._keys: list = []
         self._columns: dict = {}
+        self._member_counts: list = []
         self.extend_index(step.members)
         self._rekey(step)
         self._steps = [step]
@@ -322,10 +323,19 @@ class History:
         return self._step(t).members[i]
 
     def member_count(self, t: int) -> int:
-        seen = set()
-        for who in self._step(t).members.values():
-            seen.update(who)
-        return len(seen)
+        return self.member_counts()[self._step(t).t]
+
+    def member_counts(self) -> list:
+        """|V_t| per step t = 0..T, counted once per membership record. Read it only."""
+        counts = self._member_counts
+        steps = self._steps
+        for t in range(len(counts), len(steps)):
+            members = steps[t].members
+            if t and members is steps[t - 1].members:
+                counts.append(counts[-1])
+            else:
+                counts.append(len(set().union(*members.values())))
+        return counts
 
     def coin_count(self, t: int, i: int) -> int:
         return self._step(t).counts[i - 1]

@@ -131,9 +131,6 @@ class ExchangeRateMatrix:
         """Values of one coin of each currency, expressed in currency j coins."""
         return [row[j - 1] for row in self.ex]
 
-    def as_lists(self) -> list:
-        return [list(row) for row in self.ex]
-
     @classmethod
     def ones(cls, k: int) -> "ExchangeRateMatrix":
         return cls(((1.0,) * k,) * k)

@@ -18,6 +18,7 @@ import gc
 import json
 import math
 import random
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
@@ -43,11 +44,13 @@ from .errors import ConfigError, CurrencyNetError, DegenerateEconomyError
 from .justice import (
     JusticeReport,
     build_justice_report,
+    convergence_band,
     convergence_condition,
+    justice_pass,
+    justice_values,
     predicted_mint_fraction,
+    weights_at,
 )
-# RunResult calls it through this module name, which a test patches to count calls
-from .justice import justice_values as _justice_values
 from .ledger import Coin, CurrencyCommunity, CurrencyNetwork
 from .minting import (
     Defensive,
@@ -474,7 +477,10 @@ def validate_config(config: ScenarioConfig) -> list:
     if rates.mode == "exogenous":
         if config.settlement:
             err("settlement", "settlement requires endogenous rates")
-        if k == 2:
+        if rates.mrs12 is not None and rates.mrs_matrix is not None:
+            # the run would use the matrix and ignore the schedule
+            err("rates", "set an mrs12 schedule or an mrs_matrix, not both")
+        elif k == 2:
             if rates.mrs12 is None and rates.mrs_matrix is None:
                 err("rates", "exogenous mode needs an mrs12 schedule or an mrs_matrix")
         elif k >= 2 and rates.mrs_matrix is None:
@@ -580,7 +586,7 @@ def validate_config(config: ScenarioConfig) -> list:
             "single community with unbounded egalitarian minting and bounded "
             "membership: per-agent shares converge to the equal split",
         )
-    if k == 2 and rates.mode == "exogenous" and rates.mrs12 is not None:
+    if k == 2 and rates.mode == "exogenous" and rates.mrs12 is not None and rates.mrs_matrix is None:
         limit = rates.mrs12.limit
         v1 = eventual.get(1, set())
         v2 = eventual.get(2, set())
@@ -593,12 +599,11 @@ def validate_config(config: ScenarioConfig) -> list:
                         f"intersection condition holds; predicted mint fraction x = {x:.6g}",
                     )
             else:
-                upper = math.inf if not v2 - v1 else len(v1) / len(v2 - v1)
+                lower, upper = convergence_band(v1, v2)
                 warn(
                     "convergence",
                     f"condition violated: substitution limit {limit} outside "
-                    f"[{len(v1 - v2) / len(v2):.6g}, {upper:.6g}]; "
-                    f"1:1 rates are not expected",
+                    f"[{lower:.6g}, {upper:.6g}]; 1:1 rates are not expected",
                 )
     return diags
 
@@ -630,9 +635,6 @@ class RunResult:
         rates_timeline: list,          # index = step t; matrix in force at t
         rates_log: list,               # RatesEvent per equilibration
         solver_log: list,              # SolverEvent per endogenous equilibration
-        ex12: Optional[list],          # in-force rate 1->2 per step, index t-1
-        a_over_t: Optional[list],      # fraction of steps with ex12 >= 1, index t-1
-        final_network: CurrencyNetwork,
     ):
         self.config = config
         self.history = history
@@ -640,85 +642,77 @@ class RunResult:
         self.rates_timeline = rates_timeline
         self.rates_log = rates_log
         self.solver_log = solver_log
-        self.ex12 = ex12
-        self.a_over_t = a_over_t
-        self.final_network = final_network
         self._memo: dict = {}
+
+    @property
+    def ex12(self) -> Optional[list]:
+        """For k = 2, the in-force rate 1->2 per step, index t - 1."""
+        if self.config.k != 2:
+            return None
+        return [rates.ex[0][1] for rates in self.rates_timeline[1:]]
+
+    @property
+    def a_over_t(self) -> Optional[list]:
+        """For k = 2, the fraction of steps 1..t with ex12 >= 1, index t - 1."""
+        ex12 = self.ex12
+        if ex12 is None:
+            return None
+        return [a / t for t, a in enumerate(accumulate(rate >= 1.0 for rate in ex12), 1)]
+
+    @property
+    def final_network(self) -> Optional[CurrencyNetwork]:
+        """The final step's snapshot, if it was retained."""
+        return self.history.steps[-1].network
 
     def mrs12_series(self) -> list:
         return [(event.t, event.mrs[0][1]) for event in self.rates_log]
 
-    def justice_series(self, reference: int = 1) -> dict:
+    def justice_series(self) -> dict:
         """Per-agent series of the justice value, index = step (0..T).
 
-        Computed once per reference currency and history length, then
-        shared: the report, the ``justice.csv`` writer and the summary all
-        get the same dict. Treat it and its lists as read-only.
+        Computed once per history length, then shared: the report, the
+        ``justice.csv`` writer and the summary all get the same dict. Treat
+        it and its lists as read-only.
         """
         history = self.history
-        key = ("series", reference, history.last_step)
+        key = ("series", history.last_step)
         series = self._memo.get(key)
         if series is None:
-            agents = history.agents
-            columns = history.key_columns(agents)
-            rows = [
-                _justice_values(
-                    columns, step, balance, cashflow, self._weights(step.t, reference)
-                )
-                for step, balance, cashflow in history.cashflow_steps()
-            ]
-            series = self._memo[key] = dict(zip(agents, map(list, zip(*rows))))
+            rows = [values for *_, values in justice_pass(history, self.rates_timeline)]
+            series = self._memo[key] = dict(zip(history.agents, map(list, zip(*rows))))
         return series
 
-    def justice_final(self, reference: int = 1) -> dict:
+    def justice_final(self) -> dict:
         """Per-agent justice value at the final step."""
         history = self.history
         for final, balance, cashflow in history.cashflow_steps():
             pass  # run the cashflow up to the last step
-        values = _justice_values(
+        values = justice_values(
             history.key_columns(history.agents),
             final,
             balance,
             cashflow,
-            self._weights(final.t, reference),
+            weights_at(self.rates_timeline, final.t),
         )
         return dict(zip(history.agents, values))
 
     def member_counts(self) -> list:
-        """|V_t| per step t = 0..T, computed once per history length."""
-        history = self.history
-        key = ("counts", history.last_step)
-        counts = self._memo.get(key)
-        if counts is None:
-            counts = []
-            members = None
-            for step in history.steps:
-                if step.members is not members:  # steps share it between joins
-                    members = step.members
-                    count = len(set().union(*members.values()))
-                counts.append(count)
-            self._memo[key] = counts
-        return counts
+        return self.history.member_counts()
 
-    def justice_report(self, window_frac: float = 0.1, reference: int = 1) -> JusticeReport:
-        """The justice report, built once per window, reference and history length.
+    def justice_report(self) -> JusticeReport:
+        """The justice report, built once per history length.
 
         Shared like :meth:`justice_series`: treat it as read-only.
         """
-        key = ("report", window_frac, reference, self.history.last_step)
+        key = ("report", self.history.last_step)
         report = self._memo.get(key)
         if report is None:
             report = self._memo[key] = build_justice_report(
-                self.justice_series(reference),
+                self.justice_series(),
                 self.member_counts(),
                 len(self.history.agents),
-                window_frac,
             )
         return report
-
-    def _weights(self, t: int, reference: int) -> list:
-        """Value of one coin of each currency in the reference currency."""
-        return self.rates_timeline[t].column(reference)
 
 
 # --------------------------------------------------------------------------
@@ -873,9 +867,6 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     myopic_choice: dict = {}
     rates_log: list = []
     solver_log: list = []
-    ex12_series: Optional[list] = [] if k == 2 else None
-    a_over_t: Optional[list] = [] if k == 2 else None
-    a_count = 0
 
     exo_matrix = config.rates.mrs_matrix
     if exo_matrix is not None:
@@ -1070,12 +1061,6 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             )
         )
         rates_timeline.append(in_force)
-        if k == 2:
-            ex12 = in_force.ex[0][1]
-            ex12_series.append(ex12)
-            if ex12 >= 1.0:
-                a_count += 1
-            a_over_t.append(a_count / t)
 
     return RunResult(
         config=config,
@@ -1084,7 +1069,4 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         rates_timeline=rates_timeline,
         rates_log=rates_log,
         solver_log=solver_log,
-        ex12=ex12_series,
-        a_over_t=a_over_t,
-        final_network=history.steps[-1].network,
     )

@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 from .accounting import History
 from .economy import ExchangeRateMatrix, fractional_equity
 from .errors import UnknownAgentError, UnknownPersonError
-from .justice import justice_values
+from .justice import justice_pass, justice_values
 from .ledger import CurrencyCommunity, CurrencyNetwork
 
 
@@ -181,12 +181,12 @@ def sybil_locality_report(
     history: History,
     ownership: OwnershipMap,
     rates_by_step: Sequence[ExchangeRateMatrix],
-    reference: int = 1,
 ) -> SybilLocalityReport:
     """Track per-owner shares over a history.
 
     ``rates_by_step`` supplies the exchange rates in force at each step
-    (index = step; index 0 is the bootstrap matrix).
+    (index = step; index 0 is the bootstrap matrix), as
+    :func:`justice.justice_pass` reads them.
     """
     agents = history.agents
     persons = sorted({p for a in agents for p in ownership.owners_of(a)})
@@ -205,16 +205,13 @@ def sybil_locality_report(
                 total[person] += value * weight
         return total
 
-    columns = history.key_columns(agents)
-    for step, balance, cashflow in history.cashflow_steps():
-        t = step.t
-        ex = rates_by_step[t] if t < len(rates_by_step) else rates_by_step[-1]
-        values = owned(justice_values(columns, step, balance, cashflow, ex.column(reference)))
+    for final, balance, cashflow, values in justice_pass(history, rates_by_step):
+        values = owned(values)
         for person in persons:
             shares[person].append(values[person])
 
     # one currency's share is the justice value with only that coin valued
-    final = history.steps[-1]
+    columns = history.key_columns(agents)
     per_currency = {
         i: owned(
             justice_values(

@@ -17,6 +17,10 @@ from .accounting import History
 from .economy import ExchangeRateMatrix, ordered_sum
 from .errors import BadIndexError, ConditionViolatedError, InvalidRatesError, TooShortError
 
+REFERENCE = 1      # the currency coins are valued in; any other gives the same values
+WINDOW_FRAC = 0.1  # the trailing share of a series that estimates its limit
+TOLERANCE = 1e-2   # how far a final justice value may sit from the equal share
+
 
 def justice_values(columns, step, balance, cashflow, weights) -> list:
     """Each agent's balance minus cashflow, weighted and diluted, at ``step``.
@@ -39,6 +43,22 @@ def justice_values(columns, step, balance, cashflow, weights) -> list:
     for cols, w in zip(columns, weights):
         totals = [total + held[c] * w for total, c in zip(totals, cols)]
     return [total / denominator for total in totals]
+
+
+def weights_at(rates_by_step: Sequence[ExchangeRateMatrix], t: int) -> list:
+    """Column REFERENCE of the rates in force at t; past the end, the last matrix's."""
+    return rates_by_step[min(t, len(rates_by_step) - 1)].column(REFERENCE)
+
+
+def justice_pass(history: History, rates_by_step: Sequence[ExchangeRateMatrix]):
+    """``History.cashflow_steps`` with each step's justice values of ``history.agents``.
+
+    Yields ``(step, balance, cashflow, values)``, weighted by :func:`weights_at`.
+    """
+    columns = history.key_columns(history.agents)
+    for step, balance, cashflow in history.cashflow_steps():
+        weights = weights_at(rates_by_step, step.t)
+        yield step, balance, cashflow, justice_values(columns, step, balance, cashflow, weights)
 
 
 def justice_value_single(history: History, t: int, v: str) -> float:
@@ -86,22 +106,28 @@ def justice_value_network(
     return numerator / denominator
 
 
-def convergence_condition(v1, v2, mrs_limit: float) -> bool:
-    """Whether the two-community intersection can absorb the value gap.
+def convergence_band(v1, v2) -> tuple:
+    """The band ``(|V1 - V2| / |V2|, |V1| / |V2 - V1|)`` of feasible limits.
 
-    True when |V1 - V2| / |V2| <= mrs_limit <= |V1| / |V2 - V1|; the upper
-    bound is unbounded when V2 is contained in V1. Under joint egalitarian
-    minting with myopic agents this is the sufficient condition for per-coin
-    rates between the two currencies to converge to 1.
+    The upper bound is unbounded when V2 is contained in V1.
     """
     v1, v2 = set(v1), set(v2)
     if not v1 or not v2:
         raise ValueError("both communities must be nonempty")
+    only_2 = len(v2 - v1)
+    return len(v1 - v2) / len(v2), math.inf if only_2 == 0 else len(v1) / only_2
+
+
+def convergence_condition(v1, v2, mrs_limit: float) -> bool:
+    """Whether the two-community intersection can absorb the value gap.
+
+    True when mrs_limit lies in :func:`convergence_band`. Under joint
+    egalitarian minting with myopic agents this is the sufficient condition
+    for per-coin rates between the two currencies to converge to 1.
+    """
+    lower, upper = convergence_band(v1, v2)
     if mrs_limit <= 0:
         raise ValueError("the limiting substitution rate must be positive")
-    lower = len(v1 - v2) / len(v2)
-    only_2 = len(v2 - v1)
-    upper = math.inf if only_2 == 0 else len(v1) / only_2
     return lower <= mrs_limit <= upper
 
 
@@ -137,11 +163,11 @@ class ConvergenceReport(NamedTuple):
         return abs(self.trailing_mean - target)
 
 
-def convergence_report(series: Sequence[float], window_frac: float = 0.1) -> ConvergenceReport:
-    """Estimate the limit of a series from its trailing window (default 10%)."""
+def convergence_report(series: Sequence[float]) -> ConvergenceReport:
+    """Estimate the limit of a series from its trailing window (``WINDOW_FRAC``)."""
     if len(series) < 2:
         raise TooShortError(f"need at least 2 points, got {len(series)}")
-    window = max(1, int(len(series) * window_frac))
+    window = max(1, int(len(series) * WINDOW_FRAC))
     tail = [float(x) for x in series[-window:]]
     mean = ordered_sum(tail) / len(tail)
     return ConvergenceReport(
@@ -177,21 +203,21 @@ class JusticeReport:
             abs(values[-1] - self.target) for values in self.series.values()
         )
 
-    def to_summary(self, tolerance: float = 1e-2) -> dict:
+    def to_summary(self) -> dict:
         agents = {
             agent: {
                 "final": values[-1],
                 "final_deviation": abs(values[-1] - self.target),
                 "trailing_mean": self.estimates[agent].trailing_mean,
                 "trailing_deviation": self.estimates[agent].deviation_from(self.target),
-                "pass": abs(values[-1] - self.target) < tolerance,
+                "pass": abs(values[-1] - self.target) < TOLERANCE,
             }
             for agent, values in self.series.items()
         }
         return {
             "target": self.target,
             "window": self.window,
-            "tolerance": tolerance,
+            "tolerance": TOLERANCE,
             "pass": all(entry["pass"] for entry in agents.values()),
             "agents": agents,
         }
@@ -201,10 +227,9 @@ def build_justice_report(
     series: Mapping,
     member_counts: Sequence[int],
     total_agents: int,
-    window_frac: float = 0.1,
 ) -> JusticeReport:
     estimates = {
-        agent: convergence_report(values, window_frac)
+        agent: convergence_report(values)
         for agent, values in series.items()
     }
     window = next(iter(estimates.values())).window if estimates else 0

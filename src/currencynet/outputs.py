@@ -8,7 +8,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import sys
 from operator import itemgetter
 from pathlib import Path
@@ -16,6 +15,7 @@ from pathlib import Path
 from . import __version__
 from .accounting import History
 from .engine import RunResult, ScenarioConfig, config_hash
+from .justice import convergence_report
 
 METRICS_COLUMNS = (
     "t",
@@ -129,7 +129,7 @@ def write_justice_csv(result: RunResult, path) -> None:
     name is quoted once, by ``csv.writer`` itself.
     """
     series = result.justice_series()
-    targets = [1.0 / count if count else math.nan for count in result.member_counts()]
+    targets = result.justice_report().step_targets
     target_texts = [repr(target) for target in targets]
     with open(path, "w", newline="") as handle:
         handle.write("t,agent,value,target,deviation\r\n")
@@ -145,40 +145,20 @@ def write_justice_csv(result: RunResult, path) -> None:
             )
 
 
-def justice_summary(
-    result: RunResult, window_frac: float = 0.1, tolerance: float = 1e-2
-) -> dict:
-    report = result.justice_report(window_frac)
-    summary = {"justice": report.to_summary(tolerance)}
+def justice_summary(result: RunResult) -> dict:
+    summary = {"justice": result.justice_report().to_summary()}
     if result.ex12 is not None:
-        from .justice import convergence_report
-
-        ex = convergence_report(result.ex12, window_frac)
-        aot = convergence_report(result.a_over_t, window_frac)
-        summary["ex12"] = {
-            "trailing_mean": ex.trailing_mean,
-            "max_deviation": ex.max_deviation,
-            "window": ex.window,
-        }
-        summary["a_over_t"] = {
-            "trailing_mean": aot.trailing_mean,
-            "max_deviation": aot.max_deviation,
-            "window": aot.window,
-        }
+        summary["ex12"] = convergence_report(result.ex12)._asdict()
+        summary["a_over_t"] = convergence_report(result.a_over_t)._asdict()
         mrs = [value for _, value in result.mrs12_series()]
         if len(mrs) >= 2:
-            est = convergence_report(mrs, window_frac)
-            summary["mrs12"] = {
-                "trailing_mean": est.trailing_mean,
-                "max_deviation": est.max_deviation,
-                "window": est.window,
-            }
+            summary["mrs12"] = convergence_report(mrs)._asdict()
     return summary
 
 
-def write_justice_json(result: RunResult, path, window_frac: float = 0.1) -> None:
+def write_justice_json(result: RunResult, path) -> None:
     with open(path, "w") as handle:
-        json.dump(justice_summary(result, window_frac), handle, indent=2, sort_keys=True)
+        json.dump(justice_summary(result), handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 

@@ -241,7 +241,7 @@ def test_shipped_scenario_files_match_builders():
     from currencynet.engine import ScenarioConfig, load_scenario, validate_config
 
     root = Path(__file__).resolve().parent.parent / "scenarios"
-    assert root.is_dir()
+    assert sorted(path.stem for path in root.glob("*.json")) == sorted(scenarios.CANNED)
     for name, build in scenarios.CANNED.items():
         config = load_scenario(root / f"{name}.json")
         assert config == build()

@@ -385,7 +385,7 @@ class TestCoinExchangeRates:
 
     def test_flat_rates(self):
         ex = coin_exchange_rates(np.ones((2, 2)), [100, 100])
-        assert ex.as_lists() == [[1.0, 1.0], [1.0, 1.0]]
+        assert ex.ex == ((1.0, 1.0), (1.0, 1.0))
 
     def test_equal_volumes_passthrough(self):
         ex = coin_exchange_rates(np.array([[1.0, 1.5], [1 / 1.5, 1.0]]), [100, 100])

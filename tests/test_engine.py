@@ -6,6 +6,7 @@ import pytest
 from currencynet.accounting import check_accounting_identity
 from currencynet.engine import (
     CommunityConfig,
+    Diagnostic,
     MrsSchedule,
     RatesConfig,
     ScenarioConfig,
@@ -324,6 +325,43 @@ class TestValidateConfig:
         config = scenarios.disjoint_pair_control(steps=100)
         diags = validate_config(config)
         assert any(d.level == "warning" and d.code == "convergence" for d in diags)
+
+    @pytest.mark.parametrize(
+        "v2, limit, band",
+        [(("b", "c", "d"), 5.0, "[0.333333, 3]"), (("b", "c"), 0.25, "[0.5, inf]")],
+    )
+    def test_condition_violation_states_the_band(self, v2, limit, band):
+        config = tiny_pair(
+            communities=(
+                CommunityConfig(1, ("a", "b", "c"), {"a": 1, "b": 1, "c": 1}),
+                CommunityConfig(2, v2, dict.fromkeys(v2, 1)),
+            ),
+            rates=RatesConfig(mode="exogenous", mrs12=MrsSchedule(kind="constant", value=limit)),
+        )
+        notes = [d for d in validate_config(config) if d.code == "convergence"]
+        assert notes == [
+            Diagnostic(
+                "warning",
+                "convergence",
+                f"condition violated: substitution limit {limit} outside {band}; "
+                "1:1 rates are not expected",
+            )
+        ]
+
+    def test_schedule_and_matrix_together_rejected(self):
+        # the run would use the matrix, so the schedule's band would mislead
+        config = scenarios.pair_convergence_exogenous(steps=3000)._replace(
+            rates=RatesConfig(
+                mode="exogenous",
+                mrs12=MrsSchedule(kind="constant", value=1.5),
+                mrs_matrix=((1.0, 5.0), (0.2, 1.0)),
+            )
+        )
+        diags = validate_config(config)
+        assert [d.code for d in diags if d.level == "error"] == ["rates"]
+        assert not [d for d in diags if d.code == "convergence"]
+        with pytest.raises(ConfigError, match="not both"):
+            run_scenario(config)
 
     def test_condition_holding_reports_prediction(self):
         diags = validate_config(tiny_pair())

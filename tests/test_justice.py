@@ -11,7 +11,6 @@ from currencynet.engine import (
     CommunityConfig,
     RatesConfig,
     ScenarioConfig,
-    _justice_values,
     run_scenario,
 )
 from currencynet.errors import ConditionViolatedError, TooShortError
@@ -20,6 +19,7 @@ from currencynet.justice import (
     convergence_report,
     justice_value_network,
     justice_value_single,
+    justice_values,
     predicted_mint_fraction,
 )
 from currencynet.ledger import pay
@@ -233,7 +233,7 @@ class TestConvergenceReport:
         ((step, balance, cashflow),) = history.cashflow_steps()
         columns = history.key_columns(("a", "b"))
         weights = [1e16, 1.0, -1e16, 1.0]
-        assert _justice_values(columns, step, balance, cashflow, weights) == [1.0, 1.0]
+        assert justice_values(columns, step, balance, cashflow, weights) == [1.0, 1.0]
 
 
 def settled_triple(steps=30):

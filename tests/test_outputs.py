@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from currencynet import engine, outputs, scenarios
+from currencynet import engine, justice, outputs, scenarios
 from currencynet.engine import (
     CommunityConfig,
     MrsSchedule,
@@ -228,14 +228,19 @@ def test_agent_names_needing_quotes_round_trip(tmp_path):
 def counted_series_steps(monkeypatch):
     """Counts the per-step justice computations a run makes."""
     calls = []
-    builder = engine._justice_values
+    builder = justice.justice_values
 
     def counting(*args):
         calls.append(args[1].t)
         return builder(*args)
 
-    monkeypatch.setattr(engine, "_justice_values", counting)
+    monkeypatch.setattr(justice, "justice_values", counting)
     return calls
+
+
+def extend_by_one_quiet_step(result):
+    """Append a step in which nothing happens, past the end of the rate timeline."""
+    result.history.extend(result.final_network, minted={})
 
 
 def test_one_job_builds_the_justice_series_once(tmp_path, counted_series_steps):
@@ -259,17 +264,24 @@ def test_one_job_builds_the_justice_report_once(tmp_path, monkeypatch):
     outputs.write_bundle(result, tmp_path)
     assert len(calls) == 1
     assert result.justice_report() is report
-    assert result.justice_report(0.2) is not report
-    assert result.justice_report(reference=2) is not report
-    assert len(calls) == 3
+    extend_by_one_quiet_step(result)
+    longer = result.justice_report()
+    assert longer is not report
+    assert len(calls) == 2
+    assert len(longer.step_targets) == len(report.step_targets) + 1
 
 
-def test_justice_series_memo_is_per_reference(counted_series_steps):
+def test_justice_series_memo_is_per_history_length(counted_series_steps):
     result = small_run()
-    first = result.justice_series(1)
-    assert result.justice_series(1) is first
-    second = result.justice_series(2)
+    steps = result.history.last_step + 1
+    first = result.justice_series()
+    assert result.justice_series() is first
+    assert len(result.rates_timeline) == steps
+    extend_by_one_quiet_step(result)
+    second = result.justice_series()
     assert second is not first
-    assert len(counted_series_steps) == 2 * (result.history.last_step + 1)
+    assert len(counted_series_steps) == steps + (steps + 1)
+    # the last matrix stays in force past the timeline, and the quiet step
+    # moves nothing, so its values repeat the last step's bits
     for agent, values in first.items():
-        assert values == pytest.approx(second[agent], abs=1e-12)
+        assert second[agent] == values + values[-1:]
