@@ -1,12 +1,14 @@
 """Monotone step histories and the per-step accounting quantities.
 
 A history records one entry per step: who joined, who minted what, and the
-derived per-agent counters (balance, income, revenue, expenses). Full
-network snapshots are optional per step; when a step and its predecessor
-both retain snapshots, every quantity is recomputed from raw holder-map set
-differences, which is the authoritative definition. Otherwise the counters
-frozen at append time are used. Long simulations keep counters for every
-step and thin the snapshots to stay within memory.
+per-agent counters (balance, income, revenue, expenses). The counters are
+the record every accessor and post-run pass reads. A step may also retain a
+full network snapshot; a step built from snapshots derives its counters
+from the snapshot and the one before by one rule, :func:`snapshot_diff`,
+and :func:`check_accounting_identity` derives them again wherever two
+consecutive snapshots are retained, so a snapshot that disagrees with its
+record is reported. Long simulations keep counters for every step and thin
+the snapshots to stay within memory.
 
 Definitions, for agent v, currency i and step t >= 1:
 
@@ -31,6 +33,7 @@ built from these on access.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from itertools import compress
 from operator import add, sub
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -38,7 +41,6 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 from .errors import BadIndexError, MonotonicityViolationError, RecordError
 from .ledger import CurrencyNetwork
 
-Key = tuple  # (agent, currency)
 
 def _tally(keys: list, columns) -> dict:
     counts: dict = {}
@@ -48,18 +50,52 @@ def _tally(keys: list, columns) -> dict:
     return counts
 
 
+def snapshot_diff(previous: Optional[CurrencyNetwork], network: CurrencyNetwork) -> tuple:
+    """A step's counters, derived from its snapshot and the one before.
+
+    Returns ``(balances, income, revenue, expenses)``. ``balances`` maps
+    every member (agent, currency) key of ``network`` to the coins it holds.
+    Each flow is a list with one key per coin: income names the holder of
+    each coin that ``previous`` lacks, revenue the new holder of each old
+    coin that changed hands, and expenses its holder in ``previous``. With
+    no ``previous`` (the initial step) every flow is empty.
+    """
+    balances = {(agent, i): 0 for i in network.currencies for agent in network.members(i)}
+    holder = network.holder
+    for coin, agent in holder.items():
+        balances[(agent, coin.currency)] += 1
+    if previous is None:
+        return balances, [], [], []
+    before = previous.holder
+    income: list = []
+    revenue: list = []
+    for coin, agent in holder.items():
+        was = before.get(coin)
+        if was != agent:
+            (income if was is None else revenue).append((agent, coin.currency))
+    expenses = [
+        (agent, coin.currency) for coin, agent in before.items() if holder.get(coin) != agent
+    ]
+    return balances, income, revenue, expenses
+
+
 class HistoryStep:
     """One step of a network history. Treat instances as immutable.
 
+    The record is columnar over ``keys``, the key index of the history the
+    step joins: ``row[c]`` is the balance of ``keys[c]``, ``counts[i - 1]``
+    the coins of currency i, and the ``minted``, ``income``, ``revenue`` and
+    ``expenses`` arguments give one key column per coin (kept as
+    ``minted_cols``, ``income_cols``, ``revenue_cols`` and
+    ``expenses_cols``). ``row`` spans every indexed key, the keys of members
+    new at the step included: those are indexed, after the ones before
+    them, when the step is appended. The row is copied into an array and
+    the flows into tuples; income passed as the very object of minted
+    shares its tuple.
+
     ``minted`` records who created each new coin, which can differ from
     ``income`` when a freshly minted coin changes hands within the step:
-    income follows the holder at the snapshot.
-
-    The record is columnar: ``row[c]`` is the balance of ``keys[c]``,
-    ``counts[i - 1]`` the coins of currency i, and ``minted_cols``,
-    ``income_cols``, ``revenue_cols`` and ``expenses_cols`` hold one column
-    per coin. ``keys`` is the history's key index once the step is
-    appended, and the step's own keys before. The dict attributes
+    income follows the holder at the snapshot. The dict attributes
     (``balances``, ``coin_counts``, ``minted``, ``income``, ``revenue``,
     ``expenses``) are built from the columns on every access.
     """
@@ -71,83 +107,29 @@ class HistoryStep:
 
     def __init__(
         self,
-        t: int,
-        minted: Mapping,
-        joins: frozenset,
-        members: Mapping,           # currency -> frozenset of agents
-        coin_counts: Mapping,       # currency -> int
-        balances: Mapping,          # (agent, currency) -> int, dense over members
-        income: Mapping,            # sparse, nonzero entries only
-        revenue: Mapping,
-        expenses: Mapping,
-        network: Optional[CurrencyNetwork] = None,
-    ):
-        # the step's own keys: the balance keys, then any key only a flow names
-        keys = list(balances)
-        column = {key: c for c, key in enumerate(keys)}
-        flows = []
-        for flow in (minted, income, revenue, expenses):
-            cols: list = []
-            for key, n in flow.items():
-                if n < 0:
-                    raise RecordError(f"step {t} records a negative flow {n} for {key!r}")
-                if n:
-                    c = column.get(key)
-                    if c is None:
-                        c = column[key] = len(keys)
-                        keys.append(key)
-                    cols += [c] * n
-            flows.append(tuple(cols))
-        self._fill(
-            t, joins, members, network, keys,
-            array("q", balances.values()),
-            tuple(coin_counts[i] for i in range(1, len(coin_counts) + 1)),
-            *flows,
-        )
-
-    @classmethod
-    def from_columns(
-        cls,
         keys: list,
         t: int,
         joins: frozenset,
-        members: Mapping,
-        counts: tuple,
+        members: Mapping,           # currency -> frozenset of agents
+        counts: tuple,              # coins per currency 1..k
         row: Sequence[int],
         minted: Sequence[int],
         income: Sequence[int],
         revenue: Sequence[int],
         expenses: Sequence[int],
         network: Optional[CurrencyNetwork] = None,
-    ) -> "HistoryStep":
-        """A step already over ``keys``, the key index of the history it joins.
-
-        ``row`` holds the balance of every indexed key, and each flow one
-        key column per coin; the row is copied into an array and the flows
-        into tuples (income passed as the very object of minted shares its
-        tuple).
-        """
-        step = cls.__new__(cls)
-        minted_cols = tuple(minted)
-        step._fill(
-            t, joins, members, network, keys, array("q", row), counts, minted_cols,
-            minted_cols if income is minted else tuple(income),
-            tuple(revenue), tuple(expenses),
-        )
-        return step
-
-    def _fill(self, t, joins, members, network, keys, row, counts, minted, income, revenue, expenses):
+    ):
         self.t = t
         self.joins = joins
         self.members = members
         self.network = network
         self.keys = keys
-        self.row = row
+        self.row = array("q", row)
         self.counts = counts
-        self.minted_cols = minted
-        self.income_cols = income
-        self.revenue_cols = revenue
-        self.expenses_cols = expenses
+        self.minted_cols = tuple(minted)
+        self.income_cols = self.minted_cols if income is minted else tuple(income)
+        self.revenue_cols = tuple(revenue)
+        self.expenses_cols = tuple(expenses)
 
     balances = property(lambda self: dict(zip(self.keys, self.row)))
     coin_counts = property(lambda self: dict(enumerate(self.counts, 1)))
@@ -156,104 +138,25 @@ class HistoryStep:
     revenue = property(lambda self: _tally(self.keys, self.revenue_cols))
     expenses = property(lambda self: _tally(self.keys, self.expenses_cols))
 
-    @classmethod
-    def initial(cls, network: CurrencyNetwork) -> "HistoryStep":
-        members = {i: network.members(i) for i in network.currencies}
-        joins = frozenset(
-            (agent, i) for i, who in members.items() for agent in who
-        )
-        balances = {}
-        for i in network.currencies:
-            for agent in members[i]:
-                balances[(agent, i)] = 0
-        for coin, agent in network.holder.items():
-            balances[(agent, coin.currency)] += 1
-        return cls(
-            t=0,
-            minted={},
-            joins=joins,
-            members=members,
-            coin_counts={i: network.coin_count(i) for i in network.currencies},
-            balances=balances,
-            income={},
-            revenue={},
-            expenses={},
-            network=network,
-        )
-
-    @classmethod
-    def from_networks(
-        cls,
-        previous: CurrencyNetwork,
-        network: CurrencyNetwork,
-        t: int,
-        minted: Mapping,
-        keep_network: bool = True,
-    ) -> "HistoryStep":
-        """Derive all counters from two consecutive snapshots."""
-        members = {i: network.members(i) for i in network.currencies}
-        joins = frozenset(
-            (agent, i)
-            for i in network.currencies
-            for agent in members[i] - previous.members(i)
-        )
-        balances = {}
-        for i in network.currencies:
-            for agent in members[i]:
-                balances[(agent, i)] = 0
-        income: dict = {}
-        revenue: dict = {}
-        expenses: dict = {}
-        prev_holder = previous.holder
-        for coin, agent in network.holder.items():
-            key = (agent, coin.currency)
-            balances[key] += 1
-            before = prev_holder.get(coin)
-            if before is None:
-                income[key] = income.get(key, 0) + 1
-            elif before != agent:
-                revenue[key] = revenue.get(key, 0) + 1
-        for coin, agent in prev_holder.items():
-            if network.holder.get(coin) != agent:
-                key = (agent, coin.currency)
-                expenses[key] = expenses.get(key, 0) + 1
-        return cls(
-            t=t,
-            minted=minted,
-            joins=joins,
-            members=members,
-            coin_counts={i: network.coin_count(i) for i in network.currencies},
-            balances=balances,
-            income=income,
-            revenue=revenue,
-            expenses=expenses,
-            network=network if keep_network else None,
-        )
-
-
-def _stray_key(step: HistoryStep) -> Optional[Key]:
-    """The first of the step's own keys that is no member key but holds or moves a coin."""
-    members = step.members
-    moved = set(step.minted_cols).union(step.income_cols, step.revenue_cols, step.expenses_cols)
-    row = step.row
-    for c, key in enumerate(step.keys):
-        if key[0] not in members.get(key[1], ()) and (c in moved or (c < len(row) and row[c])):
-            return key
-    return None
-
 
 class History:
     """Append-only sequence of steps with monotone agents and coins."""
 
-    def __init__(self, initial_network: CurrencyNetwork):
-        step = HistoryStep.initial(initial_network)
-        self._currencies = tuple(range(1, len(step.members) + 1))
+    def __init__(self, network: CurrencyNetwork):
+        members = {i: network.members(i) for i in network.currencies}
+        self._currencies = tuple(network.currencies)
         self._keys: list = []
         self._columns: dict = {}
         self._member_counts: list = []
-        self.extend_index(step.members)
-        self._rekey(step)
-        self._steps = [step]
+        self.extend_index(members)
+        balances = snapshot_diff(None, network)[0]
+        self._steps = [
+            HistoryStep(
+                self._keys, 0, frozenset(self._keys), members,
+                tuple(map(network.coin_count, network.currencies)),
+                map(balances.__getitem__, self._keys), (), (), (), (), network,
+            )
+        ]
 
     @property
     def steps(self) -> Sequence[HistoryStep]:
@@ -348,11 +251,9 @@ class History:
     def append_step(self, step: HistoryStep) -> None:
         """Check ``step`` against the last one, put it on the key index and append it.
 
-        A step built from dicts is re-keyed in place onto the index, its new
-        members' keys indexed first; a coin held or moved by a key outside
-        the member set raises :class:`RecordError`. A step from
-        :meth:`HistoryStep.from_columns` must already span the index, its new
-        members' keys included. A refused step leaves the index as it was.
+        ``step`` must be over :attr:`keys` and its row must span the index,
+        its new members' keys included; every flow column must fall below
+        the end of that span. A refused step leaves the index as it was.
         """
         last = self._steps[-1]
         if step.t != last.t + 1:
@@ -375,22 +276,31 @@ class History:
                 raise MonotonicityViolationError(
                     f"join record ({agent!r}, {i}) not reflected in membership"
                 )
+        if step.keys is not self._keys:
+            raise RecordError(f"step {step.t} is not over this history's key index")
         new = self._unindexed(step.members) if step.members is not last.members else []
-        keys = step.keys
-        if keys is not self._keys:
-            stray = _stray_key(step)
-            if stray is not None:
-                raise RecordError(
-                    f"step {step.t} records coins of {stray!r}, which is not a member key"
-                )
-        elif len(step.row) != len(keys) + len(new):
+        keys = self._keys + new if new else self._keys
+        width = len(keys)
+        if len(step.row) != width:
             raise RecordError(
-                f"step {step.t} has {len(step.row)} balances for "
-                f"{len(keys) + len(new)} indexed keys"
+                f"step {step.t} has {len(step.row)} balances for {width} indexed keys"
             )
+        # one max() per flow keeps the check cheap; the minted columns are
+        # bounded by their lookup in the tally
         minted = [0] * len(self._currencies)
-        for c in step.minted_cols:
-            minted[keys[c][1] - 1] += 1
+        outside = False
+        try:
+            for c in step.minted_cols:
+                minted[keys[c][1] - 1] += 1
+        except IndexError:
+            outside = True
+        for cols in (step.revenue_cols, step.expenses_cols, step.income_cols):
+            if cols and cols is not step.minted_cols and max(cols) >= width:
+                outside = True
+        if outside:
+            raise RecordError(
+                f"step {step.t} records a flow on a column outside its {width} indexed keys"
+            )
         growth = list(map(sub, step.counts, last.counts))
         if minted != growth:
             # a currency that lost coins is reported first
@@ -406,30 +316,53 @@ class History:
             )
         # every check has passed: only now grow the index
         self._index(new)
-        if keys is not self._keys:
-            self._rekey(step)
         self._steps.append(step)
 
-    def _rekey(self, step: HistoryStep) -> None:
-        # every key holding or moving a coin is indexed; the rest stay behind
-        target = [self._columns.get(key) for key in step.keys]
-        row = array("q", [0]) * len(self._keys)
-        for c, b in zip(target, step.row):
-            if b:
-                row[c] = b
-        step.keys = self._keys
-        step.row = row
-        for name in ("minted_cols", "income_cols", "revenue_cols", "expenses_cols"):
-            setattr(step, name, tuple(map(target.__getitem__, getattr(step, name))))
-
     def extend(self, network: CurrencyNetwork, minted: Mapping, keep_network: bool = True) -> None:
-        """Append the next step, deriving counters from snapshots."""
+        """Append the next step, its counters derived from ``network`` and the last snapshot.
+
+        ``minted`` maps (agent, currency) to the coins it created at the
+        step; a negative count, or coins for a key that is no member key,
+        raise :class:`RecordError`.
+        """
         last = self._steps[-1]
-        if last.network is None:
+        previous = last.network
+        if previous is None:
             raise ValueError("cannot extend a history whose last step has no snapshot")
+        t = last.t + 1
+        members = {i: network.members(i) for i in network.currencies}
+        new = self._unindexed(members)
+        width = len(self._keys) + len(new)
+        column = {**self._columns, **dict(zip(new, range(len(self._keys), width)))}
+        minted_cols: list = []
+        for key, n in minted.items():
+            if n < 0:
+                raise RecordError(f"step {t} records a negative minted count {n} for {key!r}")
+            if n:
+                c = column.get(key)
+                if c is None:
+                    raise RecordError(
+                        f"step {t} records coins minted by {key!r}, which is not a member key"
+                    )
+                minted_cols += [c] * n
+        balances, *flows = snapshot_diff(previous, network)
+        row = [0] * width
+        for key, b in balances.items():
+            row[column[key]] = b
+        # a key outside the member set gets the column past the end, which
+        # append_step refuses once it has found the member that was lost
+        income, revenue, expenses = ([column.get(key, width) for key in flow] for flow in flows)
         self.append_step(
-            HistoryStep.from_networks(
-                last.network, network, last.t + 1, minted, keep_network=keep_network
+            HistoryStep(
+                self._keys, t,
+                frozenset(
+                    (agent, i) for i in network.currencies
+                    for agent in members[i] - previous.members(i)
+                ),
+                members,
+                tuple(map(network.coin_count, network.currencies)),
+                row, minted_cols, income, revenue, expenses,
+                network if keep_network else None,
             )
         )
 
@@ -437,46 +370,23 @@ class History:
 
     def balance(self, t: int, v: str, i: int) -> int:
         """Coins of currency i held by v at step t; 0 for non-members."""
-        step = self._step(t)
-        if step.network is not None:
-            return sum(
-                1
-                for coin, agent in step.network.holder.items()
-                if agent == v and coin.currency == i
-            )
+        row = self._step(t).row
         c = self._columns.get((v, i))
-        return step.row[c] if c is not None and c < len(step.row) else 0
+        return row[c] if c is not None and c < len(row) else 0
 
     def income(self, t: int, v: str, i: int) -> int:
-        step, previous = self._flow_steps(t)
-        if step.network is not None and previous.network is not None:
-            new = step.network.community(i).coins - previous.network.community(i).coins
-            return sum(1 for coin in new if step.network.holder[coin] == v)
-        return self._coins(step.income_cols, v, i)
+        return self._coins(t, "income_cols", v, i)
 
     def revenue(self, t: int, v: str, i: int) -> int:
-        step, previous = self._flow_steps(t)
-        if step.network is not None and previous.network is not None:
-            old = previous.network.community(i).coins
-            return sum(
-                1
-                for coin in old
-                if step.network.holder[coin] == v and previous.network.holder[coin] != v
-            )
-        return self._coins(step.revenue_cols, v, i)
+        return self._coins(t, "revenue_cols", v, i)
 
     def expenses(self, t: int, v: str, i: int) -> int:
-        step, previous = self._flow_steps(t)
-        if step.network is not None and previous.network is not None:
-            old = previous.network.community(i).coins
-            return sum(
-                1
-                for coin in old
-                if previous.network.holder[coin] == v and step.network.holder[coin] != v
-            )
-        return self._coins(step.expenses_cols, v, i)
+        return self._coins(t, "expenses_cols", v, i)
 
-    def _coins(self, cols: tuple, v: str, i: int) -> int:
+    def _coins(self, t: int, flow: str, v: str, i: int) -> int:
+        if t < 1:
+            raise BadIndexError("flow quantities are defined for t >= 1")
+        cols = getattr(self._step(t), flow)
         c = self._columns.get((v, i))
         return 0 if c is None else cols.count(c)
 
@@ -532,11 +442,6 @@ class History:
             total += step.revenue_cols.count(c) - step.expenses_cols.count(c)
         return total
 
-    def _flow_steps(self, t: int):
-        if t < 1:
-            raise BadIndexError("flow quantities are defined for t >= 1")
-        return self._step(t), self._step(t - 1)
-
 
 class AccountingViolation(NamedTuple):
     t: int
@@ -564,31 +469,44 @@ def check_accounting_identity(history: History) -> AccountingReport:
     balance delta; the balance equals the initial balance plus accumulated
     income and cashflow; and balances of a currency sum to its coin count.
     All checks are exact integer comparisons, one step's columns at a time.
-    When consecutive snapshots are retained the quantities are recomputed
-    from holder-map set differences, compared against the stored step
-    records, and checked in their place, so a coin teleported in a snapshot
-    without a matching record is caught as well.
+    When consecutive snapshots are retained the quantities are derived again
+    by :func:`snapshot_diff`, compared against the stored step records, and
+    checked in their place, so a coin teleported in a snapshot without a
+    matching record is caught as well.
     """
     report = AccountingReport(steps_checked=history.last_step, checks=0)
     steps = history.steps
     keys = history.keys
     columns = history.columns
     masks = [[key[1] == i for key in keys] for i in history.currencies]
+
+    def snapshot_row(balances: Mapping, width: int) -> list:
+        # a key outside the first ``width`` columns belongs to no member at
+        # the step, and any coin it holds or moves shows as a record violation
+        row = [0] * width
+        for key, b in balances.items():
+            c = columns.get(key, width)
+            if c < width:
+                row[c] = b
+        return row
+
     first = steps[0]
-    before = (
-        _snapshot_row(HistoryStep.initial(first.network), columns, len(first.row))[0]
-        if first.network is not None
-        else first.row.tolist()
-    )
+    if first.network is not None:
+        before = snapshot_row(snapshot_diff(None, first.network)[0], len(first.row))
+    else:
+        before = first.row.tolist()
     running = list(before)  # b_0 + accumulated flows
     for t in range(1, len(steps)):
         step = steps[t]
         if step.network is not None and steps[t - 1].network is not None:
-            derived = HistoryStep.from_networks(
-                steps[t - 1].network, step.network, step.t, {}, keep_network=False
+            balances, *flows = snapshot_diff(steps[t - 1].network, step.network)
+            report.violations += _record_violations(step, balances, *flows)
+            width = len(step.row)
+            row = snapshot_row(balances, width)
+            income, revenue, expenses = (
+                [c for c in (columns.get(key, width) for key in flow) if c < width]
+                for flow in flows
             )
-            report.violations += _record_violations(derived, step)
-            row, income, revenue, expenses = _snapshot_row(derived, columns, len(step.row))
         else:
             row = step.row.tolist()
             income, revenue, expenses = step.income_cols, step.revenue_cols, step.expenses_cols
@@ -639,30 +557,12 @@ def check_accounting_identity(history: History) -> AccountingReport:
     return report
 
 
-def _snapshot_row(derived: HistoryStep, columns: Mapping, width: int) -> tuple:
-    """A snapshot-derived step's balance row and income, revenue and expenses
-    columns over the history's first ``width`` columns.
-
-    Keys outside those columns are left out: they belong to no member at
-    the step, and any coin they hold or move already shows as a record
-    violation.
-    """
-    target = [columns.get(key, width) for key in derived.keys]
-    row = [0] * (width + 1)  # the extra column collects the keys left out
-    for c, b in zip(target, derived.row):
-        row[min(c, width)] = b
-    del row[width]
-    flows = (
-        [target[c] for c in cols if target[c] < width]
-        for cols in (derived.income_cols, derived.revenue_cols, derived.expenses_cols)
-    )
-    return (row, *flows)
-
-
-def _record_violations(derived: HistoryStep, step: HistoryStep) -> list:
+def _record_violations(step: HistoryStep, balances: Mapping, *flows: list) -> list:
+    """Where ``step``'s record disagrees with the counters :func:`snapshot_diff` derived."""
     violations = []
-    for name in ("balances", "income", "revenue", "expenses"):
-        found, recorded = getattr(derived, name), getattr(step, name)
+    derived = (balances, *map(Counter, flows))
+    for name, found in zip(("balances", "income", "revenue", "expenses"), derived):
+        recorded = getattr(step, name)
         for key in set(found) | set(recorded):
             if found.get(key, 0) != recorded.get(key, 0):
                 violations.append(

@@ -1046,7 +1046,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             t == config.steps and config.final_snapshot
         )
         history.append_step(
-            HistoryStep.from_columns(
+            HistoryStep(
                 keys,
                 t,
                 frozenset(joins_t) if joins_t else no_joins,

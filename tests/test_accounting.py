@@ -169,60 +169,48 @@ class TestAppendStep:
     def test_wrong_step_index_rejected(self):
         network = grant_network(["a"], 1)
         history = History(network)
-        step = HistoryStep.from_networks(network, network, 5, minted={})
+        start = history.steps[0]
+        step = HistoryStep(
+            history.keys, 5, frozenset(), start.members, start.counts, start.row, (), (), (), ()
+        )
         with pytest.raises(BadIndexError):
             history.append_step(step)
 
-    def test_flow_outside_the_member_set_is_refused(self):
-        # the key index holds member keys only: a flow on any other key is
-        # refused as the step is appended, never dropped
+    def test_flow_column_outside_the_index_is_refused(self):
+        # every flow column must name an indexed key, or one the step indexes
         network = grant_network(["a", "b"], 1)
         history = History(network)
         start = history.steps[0]
-        stray = HistoryStep(
-            t=1,
-            minted={},
-            joins=frozenset(),
-            members=start.members,
-            coin_counts=start.coin_counts,
-            balances=start.balances,
-            income={("z", 1): 1},
-            revenue={},
-            expenses={},
-        )
-        assert stray.income == {("z", 1): 1}
-        with pytest.raises(RecordError, match=r"\('z', 1\)"):
-            history.append_step(stray)
+        for flows in (((), (), (7,), ()), ((), (), (), (2,)), ((2,), (2,), (), ()), ((), (5,), (), ())):
+            step = HistoryStep(
+                history.keys, 1, frozenset(), start.members, start.counts, start.row, *flows
+            )
+            with pytest.raises(RecordError, match="outside its 2 indexed keys"):
+                history.append_step(step)
         assert history.last_step == 0
         assert history.keys == [("a", 1), ("b", 1)]
-
-    def test_balance_outside_the_member_set_is_refused(self):
-        network = grant_network(["a", "b"], 1)
-        history = History(network)
-        start = history.steps[0]
-        balances = {**start.balances, ("z", 1): 0}
-        kept = HistoryStep(1, {}, frozenset(), start.members, start.coin_counts, balances, {}, {}, {})
-        history.append_step(kept)  # a zero balance holds no coin
-        assert history.steps[1].balances == start.balances
-        balances = {("a", 1): 1, ("b", 1): 0, ("z", 1): 1}
-        stray = HistoryStep(2, {}, frozenset(), start.members, start.coin_counts, balances, {}, {}, {})
-        with pytest.raises(RecordError):
-            history.append_step(stray)
+        assert check_accounting_identity(history).ok
 
     def test_row_must_span_the_key_index(self):
         network = grant_network(["a", "b"], 1)
         history = History(network)
         start = history.steps[0]
-        short = HistoryStep.from_columns(
+        short = HistoryStep(
             history.keys, 1, frozenset(), start.members, start.counts, start.row[:1],
             start.minted_cols, start.income_cols, start.revenue_cols, start.expenses_cols,
         )
         with pytest.raises(RecordError):
             history.append_step(short)
+        copied = HistoryStep(
+            list(history.keys), 1, frozenset(), start.members, start.counts, start.row,
+            (), (), (), (),
+        )
+        with pytest.raises(RecordError, match="key index"):
+            history.append_step(copied)
         # a newcomer's key counts as indexed only once its step is appended
         members = {1: start.members[1] | {"c"}}
         for row, accepted in ((start.row, False), ([1, 1, 0], True)):
-            step = HistoryStep.from_columns(
+            step = HistoryStep(
                 history.keys, 1, frozenset({("c", 1)}), members, start.counts, row,
                 (), (), (), (),
             )
@@ -235,6 +223,29 @@ class TestAppendStep:
                 assert history.columns == {("a", 1): 0, ("b", 1): 1}
         assert history.keys == [("a", 1), ("b", 1), ("c", 1)]
         assert history.steps[1].balances == {("a", 1): 1, ("b", 1): 1, ("c", 1): 0}
+
+    def test_joiner_mints_in_its_join_step(self):
+        # the minted column of a key the step indexes is read after the index
+        history = History(grant_network(["a", "b"], 1))
+        start = history.steps[0]
+        step = HistoryStep(
+            history.keys, 1, frozenset({("c", 1)}), {1: start.members[1] | {"c"}},
+            (3,), [1, 1, 1], (2,), (2,), (), (),
+        )
+        history.append_step(step)
+        assert history.keys == [("a", 1), ("b", 1), ("c", 1)]
+        assert history.steps[1].minted == {("c", 1): 1}
+        assert history.income(1, "c", 1) == 1
+        assert check_accounting_identity(history).ok
+
+    def test_extend_refuses_a_bad_minted_record(self):
+        network = grant_network(["a", "b"], 1)
+        history = History(network)
+        for minted, key in (({("a", 1): -1}, r"\('a', 1\)"), ({("z", 1): 1}, r"\('z', 1\)")):
+            with pytest.raises(RecordError, match=key):
+                history.extend(network, minted)
+        assert history.last_step == 0
+        assert history.keys == [("a", 1), ("b", 1)]
 
     def test_minted_record_must_match_growth(self):
         network = grant_network(["a"], 0)
@@ -260,23 +271,27 @@ class TestAccountingIdentity:
         report = check_accounting_identity(history)
         assert not report.ok
         assert any(v.t == 5 or v.t == 6 for v in report.violations)
+        # the accessors read the record, not the corrupted snapshot
+        row = dict(zip(history.keys, step.row))
+        assert history.balance(5, owner, 1) == row[(owner, 1)]
+        assert history.balance(5, other, 1) == row[(other, 1)]
 
     def test_corrupted_counter_steps_detected(self):
-        # counter-only steps, built from member-key dicts, with no snapshot
-        # to derive them from: each identity is checked on the records alone
+        # counter-only steps with no snapshot to derive them from: each
+        # identity is checked on the records alone (column 0 is a, 1 is b)
         history = History(grant_network(["a", "b"], 1))
         members = history.steps[0].members
-        records = (  # minted, coins, balance of a and b, income, revenue, expenses
-            ({}, 2, (1, 1), {}, {("b", 1): 1}, {("a", 1): 1}),  # a payment left out of the balances
-            ({}, 2, (1, 1), {}, {}, {}),  # consistent again: nothing is reported twice
-            ({}, 2, (2, 0), {}, {}, {}),  # a coin moved with no flow recorded
-            ({("a", 1): 1}, 3, (2, 0), {("a", 1): 1}, {}, {}),  # a minted coin held by no one
+        records = (  # minted, coins, balance row, income, revenue, expenses
+            ((), 2, (1, 1), (), (1,), (0,)),  # a payment left out of the balances
+            ((), 2, (1, 1), (), (), ()),  # consistent again: nothing is reported twice
+            ((), 2, (2, 0), (), (), ()),  # a coin moved with no flow recorded
+            ((0,), 3, (2, 0), (0,), (), ()),  # a minted coin held by no one
         )
-        for t, (minted, coins, (a, b), income, revenue, expenses) in enumerate(records, 1):
+        for t, (minted, coins, row, income, revenue, expenses) in enumerate(records, 1):
             history.append_step(
                 HistoryStep(
-                    t, minted, frozenset(), members, {1: coins},
-                    {("a", 1): a, ("b", 1): b}, income, revenue, expenses,
+                    history.keys, t, frozenset(), members, (coins,),
+                    row, minted, income, revenue, expenses,
                 )
             )
         report = check_accounting_identity(history)
@@ -335,16 +350,7 @@ class TestMixedRetention:
         history.extend(grown, minted)
         step = history.steps[1]
         thin = HistoryStep(
-            t=2,
-            minted={},
-            joins=frozenset(),
-            members=step.members,
-            coin_counts=step.coin_counts,
-            balances=step.balances,
-            income={},
-            revenue={},
-            expenses={},
-            network=None,
+            history.keys, 2, frozenset(), step.members, step.counts, step.row, (), (), (), ()
         )
         history.append_step(thin)
         assert history.balance(2, "a", 1) == history.balance(1, "a", 1)

@@ -10,9 +10,9 @@ on the replayed network's diluted balances, and builds the rates with the
 fully validated ``coin_exchange_rates``. Its counters come from
 ``History.extend`` on the replayed networks. On random small configs, every
 regime and strategy, its minted record, holder map and counters must equal
-the engine's at every step, and its prices and rates must match the
-engine's to 1e-12 relative: the engine solves from exact integer market
-sums, and k = 3 sums are taken in another order.
+the engine's at every step, over the same key index, and its prices and
+rates must match the engine's to 1e-12 relative: the engine solves from
+exact integer market sums, and k = 3 sums are taken in another order.
 """
 import math
 import random
@@ -292,3 +292,9 @@ def test_reference_layer_replays_every_engine_step(config):
         counters = ("balances", "income", "revenue", "expenses", "coin_counts", "members", "joins")
         for field in counters:
             assert getattr(replayed, field) == getattr(steps[t], field), (field, t)
+        # both histories sit on one key index, checked below, so their rows
+        # and flow columns compare directly
+        assert replayed.row == steps[t].row, t
+        for field in ("minted_cols", "income_cols", "revenue_cols", "expenses_cols"):
+            assert sorted(getattr(replayed, field)) == sorted(getattr(steps[t], field)), (field, t)
+    assert history.keys == result.history.keys
