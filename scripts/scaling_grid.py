@@ -5,10 +5,11 @@ Each point is an exogenous joint-myopic run on two overlapping communities:
 a third of the agents only in community 1, a third in both, a third only in
 community 2, one to three initial coins each, a constant substitution rate
 of 1.5 and n/4 random payments a step. The time is the fastest of
-``REPEATS`` untraced runs. Memory comes from a separate ``tracemalloc``
-pass that times nothing (tracing slows a run many times over): ``retained``
-is what the run's history holds once the run returns, ``peak`` the most the
-run had allocated at once.
+``REPEATS`` untraced runs, and ``bundle`` the fastest of ``REPEATS`` writes
+of the last run's output bundle to a temporary directory. Memory comes from
+a separate ``tracemalloc`` pass that times nothing (tracing slows a run many
+times over): ``retained`` is what the run's history holds once the run
+returns, ``peak`` the most the run had allocated at once.
 
     python scripts/scaling_grid.py                              # 30 x 2000, 300 x 1000, 3000 x 300
     python scripts/scaling_grid.py --agents 30 300 --steps 200
@@ -17,9 +18,11 @@ import argparse
 import gc
 import random
 import sys
+import tempfile
 import time
 import tracemalloc
 
+from currencynet import outputs
 from currencynet.engine import (
     CommunityConfig,
     MrsSchedule,
@@ -54,13 +57,24 @@ def grid_config(agents: int, steps: int, seed: int = 1) -> ScenarioConfig:
     )
 
 
-def time_point(config: ScenarioConfig, repeats: int) -> float:
-    """The fastest of ``repeats`` untraced runs, in seconds."""
+def time_point(config: ScenarioConfig, repeats: int) -> tuple:
+    """The fastest of ``repeats`` untraced runs, in seconds, and the last run's result."""
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        run_scenario(config)
+        result = run_scenario(config)
         best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def bundle_point(result, repeats: int) -> float:
+    """The fastest of ``repeats`` writes of ``result``'s output bundle, in seconds."""
+    best = float("inf")
+    with tempfile.TemporaryDirectory() as outdir:
+        for _ in range(repeats):
+            start = time.perf_counter()
+            outputs.write_bundle(result, outdir)
+            best = min(best, time.perf_counter() - start)
     return best
 
 
@@ -83,9 +97,12 @@ def grid(points, repeats: int) -> list:
     rows = []
     for agents, steps in points:
         config = grid_config(agents, steps)
-        seconds = time_point(config, repeats)
+        seconds, result = time_point(config, repeats)
+        bundle = bundle_point(result, repeats)
+        del result  # freed before the memory pass
         retained, peak = memory_point(config)
-        rows.append((agents, steps, seconds, seconds / (agents * steps) * 1e6, retained, peak))
+        per_agent_step = seconds / (agents * steps) * 1e6
+        rows.append((agents, steps, seconds, per_agent_step, bundle, retained, peak))
     return rows
 
 
@@ -105,11 +122,13 @@ def main(argv=None) -> int:
         steps = steps * len(agents)
     if len(steps) != len(agents) or min(agents) < 3 or min(steps) < 1:
         parser.error("need at least 3 agents and 1 step a point, and one --steps or one per agent count")
-    print("| agents × steps | run | µs/agent-step | retained | peak |")
-    print("| --- | --- | --- | --- | --- |")
-    for n, t, seconds, per_agent_step, retained, peak in grid(zip(agents, steps), REPEATS):
+    print("| agents × steps | run | µs/agent-step | bundle | retained | peak |")
+    print("| --- | --- | --- | --- | --- | --- |")
+    for n, t, seconds, per_agent_step, bundle, retained, peak in grid(
+        zip(agents, steps), REPEATS
+    ):
         print(
-            f"| {n} × {t} | {seconds:.3f} s | {per_agent_step:.2f} "
+            f"| {n} × {t} | {seconds:.3f} s | {per_agent_step:.2f} | {bundle:.3f} s "
             f"| {retained:.2f} MB | {peak:.2f} MB |"
         )
     return 0

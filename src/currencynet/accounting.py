@@ -252,8 +252,9 @@ class History:
         """Check ``step`` against the last one, put it on the key index and append it.
 
         ``step`` must be over :attr:`keys` and its row must span the index,
-        its new members' keys included; every flow column must fall below
-        the end of that span. A refused step leaves the index as it was.
+        its new members' keys included; every flow column must fall inside
+        that span, from 0 to below its end. A refused step leaves the index
+        as it was.
         """
         last = self._steps[-1]
         if step.t != last.t + 1:
@@ -285,17 +286,18 @@ class History:
             raise RecordError(
                 f"step {step.t} has {len(step.row)} balances for {width} indexed keys"
             )
-        # one max() per flow keeps the check cheap; the minted columns are
-        # bounded by their lookup in the tally
+        # one min() and one max() per flow keep the check cheap; a negative
+        # column would wrap round the index, and the minted columns are
+        # bounded from above by their lookup in the tally
         minted = [0] * len(self._currencies)
-        outside = False
+        outside = bool(step.minted_cols) and min(step.minted_cols) < 0
         try:
             for c in step.minted_cols:
                 minted[keys[c][1] - 1] += 1
         except IndexError:
             outside = True
         for cols in (step.revenue_cols, step.expenses_cols, step.income_cols):
-            if cols and cols is not step.minted_cols and max(cols) >= width:
+            if cols and cols is not step.minted_cols and (min(cols) < 0 or max(cols) >= width):
                 outside = True
         if outside:
             raise RecordError(

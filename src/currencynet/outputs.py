@@ -96,53 +96,83 @@ def write_metrics_json(history: History, path) -> None:
 
 
 def write_rates_csv(result: RunResult, path) -> None:
-    """Long format: one row per (equilibration step, currency pair)."""
+    """Long format: one row per (equilibration step, currency pair).
+
+    Each row is one f-string, with the bytes ``csv.writer`` gives: its
+    fields are ints and float reprs, which never need quoting.
+    """
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("t", "i", "j", "mrs", "ex"))
-        for event in result.rates_log:
-            k = len(event.mrs)
-            for i in range(k):
-                for j in range(k):
-                    writer.writerow(
-                        (event.t, i + 1, j + 1, repr(event.mrs[i][j]), repr(event.ex[i][j]))
-                    )
+        handle.write("t,i,j,mrs,ex\r\n")
+        for t, mrs, ex, _ in result.rates_log:
+            k = len(mrs)
+            handle.write(
+                "".join(
+                    [
+                        f"{t},{i + 1},{j + 1},{mrs[i][j]!r},{ex[i][j]!r}\r\n"
+                        for i in range(k)
+                        for j in range(k)
+                    ]
+                )
+            )
 
 
 def write_solver_csv(result: RunResult, path) -> None:
-    k = result.config.k
+    """One row per solve, one f-string each, as :func:`write_rates_csv`."""
+    columns = ["t", "iterations", "residual", *(f"p{i}" for i in range(1, result.config.k + 1))]
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("t", "iterations", "residual") + tuple(f"p{i}" for i in range(1, k + 1)))
-        for event in result.solver_log:
-            writer.writerow(
-                (event.t, event.iterations, repr(event.residual))
-                + tuple(repr(p) for p in event.prices)
+        handle.write(",".join(columns) + "\r\n")
+        handle.write(
+            "".join(
+                [
+                    f"{t},{iterations},{residual!r},{','.join(map(repr, prices))}\r\n"
+                    for t, iterations, residual, prices in result.solver_log
+                ]
             )
+        )
+
+
+def _shared_texts(column, target, lead: str, end: str):
+    """``value,target,deviation`` and ``end`` for each distinct value of one step's ``column``.
+
+    None when no value repeats: then sharing would save no formatting. A
+    zero must not be looked up here, because ``0.0 == -0.0`` and the two
+    share one key; a NaN never equals itself, so it is found only by
+    identity, as the very object of ``column``.
+    """
+    distinct = set(column)
+    if len(distinct) == len(column):
+        return None
+    return {value: f"{value!r}{lead}{abs(value - target)!r}{end}" for value in distinct}
 
 
 def write_justice_csv(result: RunResult, path) -> None:
     """One row per (agent, step), agents in sorted order.
 
-    Rows are formatted with f-strings and give the same bytes as
-    ``csv.writer``: ints and float reprs never need quoting, and each agent
-    name is quoted once, by ``csv.writer`` itself.
+    Gives the same bytes as ``csv.writer``: ints and float reprs never need
+    quoting, and each agent name is quoted once, by ``csv.writer`` itself.
+    At a step where agents hold the same value, the value's text is
+    formatted once and shared (:func:`_shared_texts`).
     """
     series = result.justice_series()
+    agents = sorted(series)
     targets = result.justice_report().step_targets
-    target_texts = [repr(target) for target in targets]
+    leads = [f",{target!r}," for target in targets]
+    # each text ends with the line break and the next row's step, so that
+    # joining an agent's texts with its name between them makes its rows
+    ends = [f"\r\n{t}" for t in range(1, len(targets))] + ["\r\n"]
+    tables = list(map(_shared_texts, zip(*map(series.__getitem__, agents)), targets, leads, ends))
     with open(path, "w", newline="") as handle:
         handle.write("t,agent,value,target,deviation\r\n")
-        for agent in sorted(series):
-            name = _csv_field(agent)
-            handle.write(
-                "".join(
-                    [
-                        f"{t},{name},{value!r},{target_texts[t]},{abs(value - targets[t])!r}\r\n"
-                        for t, value in enumerate(series[agent])
-                    ]
+        for agent in agents:
+            texts = [
+                table[value]
+                if table is not None and value
+                else f"{value!r}{lead}{abs(value - target)!r}{end}"
+                for value, target, lead, end, table in zip(
+                    series[agent], targets, leads, ends, tables
                 )
-            )
+            ]
+            handle.write(f",{_csv_field(agent)},".join(["0", *texts]))
 
 
 def justice_summary(result: RunResult) -> dict:

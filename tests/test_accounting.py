@@ -191,6 +191,23 @@ class TestAppendStep:
         assert history.keys == [("a", 1), ("b", 1)]
         assert check_accounting_identity(history).ok
 
+    def test_negative_flow_column_is_refused(self):
+        # a negative column would wrap round the index: revenue (-1,) would
+        # read as b's in the minted tally and the accounting check, but land
+        # on the never-indexed column in cashflow_steps
+        network = grant_network(["a", "b"], 1)
+        history = History(network)
+        start = history.steps[0]
+        paid = ((), (), (-1,), (0,))
+        for flows in (paid, ((), (), (0,), (-1,)), ((-1,), (-1,), (), ()), ((0,), (-2,), (), ())):
+            step = HistoryStep(
+                history.keys, 1, frozenset(), start.members, start.counts, [0, 2], *flows
+            )
+            with pytest.raises(RecordError, match="outside its 2 indexed keys"):
+                history.append_step(step)
+        assert history.last_step == 0
+        assert check_accounting_identity(history).ok
+
     def test_row_must_span_the_key_index(self):
         network = grant_network(["a", "b"], 1)
         history = History(network)

@@ -1,6 +1,8 @@
 import csv
 import hashlib
+import io
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,14 +17,16 @@ from currencynet.engine import (
 from test_justice import settled_triple
 
 # sha256 of the bundle files of pair_convergence_exogenous(steps=40), and of
-# solver.csv from pair_convergence_endogenous(steps=40) without its residual
-# column; manifest.json is left out because it records the Python version
+# rates.csv and of solver.csv without its residual column from
+# pair_convergence_endogenous(steps=40); manifest.json is left out because it
+# records the Python version
 GOLDEN_EXOGENOUS = {
     "metrics.csv": "f819fe3bd9b6f0840c2f926ffebf3e50cb27796a0de1969551710b62919e454e",
     "justice.csv": "939e02c69e7df7084606d5a0862eb0ce15373f6b3d0711e85c6a723f2dec3d16",
     "rates.csv": "af9a9b743d3ff4e881c5db2069c4a2eb80e14a7f076cbff3b0c4441cbfa963f5",
     "justice.json": "0d80b04b796e9276e04616e1403aa75a28582bff3a7013dfcf4c8b2edb1550c7",
 }
+GOLDEN_ENDOGENOUS_RATES = "b43163600d89b46fb3590d02870f451ecd6cebc52be7e3a79827ac800fae6bb8"
 # the residual max|Mp - p| is a rounding error of order 1e-16 whose last bits
 # depend on the order of the floating-point sums, so it is bounded instead
 GOLDEN_SOLVER_WITHOUT_RESIDUAL = (
@@ -43,6 +47,14 @@ GOLDEN_SINGLE = {
     "metrics.csv": "39e3ec4be2d67f36ba117e32aac436fee6a29275a3ff51cc44bb2daae5d93820",
     "justice.csv": "5c29b7a55c5540f81210d640d2735e48427ab353073a21d0cdd8328d41d2708a",
     "justice.json": "3ed31d0c1f398b6fac77af85445519ab85eb489c3e60e458dadc7a24cef316d9",
+}
+# the bundle of sybil_locality(steps=300): every step of its justice.csv
+# repeats a value, so the writer shares texts (826 distinct in 2107 rows)
+GOLDEN_SYBIL = {
+    "metrics.csv": "82e9d60ffcc802598bb850d6f828aec04f7f0842ba4a815e3729736193a3aa83",
+    "justice.csv": "67f13024fb36cfac5064e1f123be980df295894501328f079bf557136a298902",
+    "rates.csv": "a3896ffc4280b986d19d9c22b781114ae4af054c01629bc86e0f160adba1b869",
+    "justice.json": "7b02fd512bc41e34d1f53d283005a6bd27ee772492ff54ff0935f7961eff8390",
 }
 # the bundle of permuted_index(): the history's key index holds the founders'
 # keys, then ("a", 2), ("m", 2) and ("a", 1) as they join, so it is no longer
@@ -144,6 +156,7 @@ def test_bundle_bytes_match_golden_digests(tmp_path):
     assert digests(tmp_path / "exo", GOLDEN_EXOGENOUS) == GOLDEN_EXOGENOUS
     endogenous = run_scenario(scenarios.pair_convergence_endogenous(steps=40))
     outputs.write_bundle(endogenous, tmp_path / "endo")
+    assert digests(tmp_path / "endo", ["rates.csv"]) == {"rates.csv": GOLDEN_ENDOGENOUS_RATES}
     solver = tmp_path / "endo" / "solver.csv"
     stripped = without_column(solver, "residual")
     assert hashlib.sha256(stripped).hexdigest() == GOLDEN_SOLVER_WITHOUT_RESIDUAL
@@ -161,6 +174,101 @@ def test_settled_bundle_bytes_match_golden_digests(tmp_path):
     assert digests(tmp_path, GOLDEN_SETTLED_TRIPLE) == GOLDEN_SETTLED_TRIPLE
 
 
+def test_sybil_bundle_bytes_match_golden_digests(tmp_path):
+    outputs.write_bundle(run_scenario(scenarios.sybil_locality(steps=300)), tmp_path)
+    assert digests(tmp_path, GOLDEN_SYBIL) == GOLDEN_SYBIL
+
+
+def csv_writer_text(header, rows) -> str:
+    """What ``csv.writer`` writes for ``header`` and ``rows``: the reference bytes."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+class SeriesStub:
+    """Stands in for a RunResult: the justice series and step targets it is given."""
+
+    def __init__(self, series, targets):
+        self.series = series
+        self.report = SimpleNamespace(step_targets=targets)
+
+    def justice_series(self):
+        return self.series
+
+    def justice_report(self):
+        return self.report
+
+
+def justice_reference(series, targets) -> str:
+    return csv_writer_text(
+        ("t", "agent", "value", "target", "deviation"),
+        (
+            (t, agent, repr(value), repr(targets[t]), repr(abs(value - targets[t])))
+            for agent in sorted(series)
+            for t, value in enumerate(series[agent])
+        ),
+    )
+
+
+def test_justice_csv_matches_csv_writer_on_awkward_series(tmp_path):
+    nan, inf = float("nan"), float("inf")
+    other_nan = float("nan")
+    # per step: a value shared by three agents; both zeros beside a repeat, in
+    # either order; both zeros alone, which repeat as set members; one NaN
+    # object twice and two NaN objects; infinities; a NaN target
+    columns = [
+        (0.25, 0.25, 0.25, -0.5),
+        (0.0, -0.0, 0.125, 0.125),
+        (-0.0, 0.0, 0.125, 0.125),
+        (0.0, -0.0, 0.1, 0.2),
+        (nan, nan, other_nan, 0.5),
+        (inf, -inf, inf, 1e-300),
+        (0.3, 0.3, -0.0, 0.0),
+    ]
+    targets = [0.25, 0.25, 0.25, 0.25, 0.25, 0.25, nan]
+    agents = ("b", "x,y", 'q"t', "a")
+    series = {agent: list(values) for agent, values in zip(agents, zip(*columns))}
+    solo = {"solo": [0.5, -0.0, nan, inf, 0.5, 0.0, 0.3]}
+    texts = []
+    for stub_series in (series, solo):
+        path = tmp_path / "justice.csv"
+        outputs.write_justice_csv(SeriesStub(stub_series, targets), path)
+        texts.append(path.read_bytes().decode())
+        assert texts[-1] == justice_reference(stub_series, targets)
+    # -0.0 keeps its sign beside a 0.0 of the same step
+    assert '\r\n1,"x,y",-0.0,0.25,0.25\r\n' in texts[0]
+    assert "\r\n2,b,-0.0,0.25,0.25\r\n" in texts[0]
+    assert "\r\n1,solo,-0.0,0.25,0.25\r\n" in texts[1]
+
+
+def test_rates_and_solver_csv_match_csv_writer(tmp_path):
+    result = run_scenario(settled_triple())
+    assert result.config.k == 3 and result.solver_log
+    outputs.write_rates_csv(result, tmp_path / "rates.csv")
+    outputs.write_solver_csv(result, tmp_path / "solver.csv")
+    rates = csv_writer_text(
+        ("t", "i", "j", "mrs", "ex"),
+        (
+            (event.t, i + 1, j + 1, repr(event.mrs[i][j]), repr(event.ex[i][j]))
+            for event in result.rates_log
+            for i in range(3)
+            for j in range(3)
+        ),
+    )
+    solver = csv_writer_text(
+        ("t", "iterations", "residual", "p1", "p2", "p3"),
+        (
+            (event.t, event.iterations, repr(event.residual), *map(repr, event.prices))
+            for event in result.solver_log
+        ),
+    )
+    assert (tmp_path / "rates.csv").read_bytes().decode() == rates
+    assert (tmp_path / "solver.csv").read_bytes().decode() == solver
+
+
 def test_permuted_key_index_bundle_matches_golden_digests(tmp_path):
     result = run_scenario(permuted_index())
     keys = result.history.keys
@@ -170,6 +278,7 @@ def test_permuted_key_index_bundle_matches_golden_digests(tmp_path):
     assert any(step.revenue for step in result.history.steps)
     outputs.write_bundle(result, tmp_path)
     assert digests(tmp_path, GOLDEN_PERMUTED_INDEX) == GOLDEN_PERMUTED_INDEX
+
 
 def test_agent_names_needing_quotes_round_trip(tmp_path):
     odd = ("x,y", 'q"t')

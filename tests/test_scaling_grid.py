@@ -48,7 +48,9 @@ def test_timing_is_untraced_and_memory_untimed(scaling_grid, monkeypatch):
 
     monkeypatch.setattr(scaling_grid, "run_scenario", watched)
     config = scaling_grid.grid_config(6, 10)
-    assert scaling_grid.time_point(config, 2) > 0
+    seconds, result = scaling_grid.time_point(config, 2)
+    assert seconds > 0
+    assert scaling_grid.bundle_point(result, 2) > 0
     retained, peak = scaling_grid.memory_point(config)
     assert traced == [False, False, True]
     assert 0 < retained <= peak
