@@ -740,12 +740,13 @@ def initial_network(config: ScenarioConfig) -> CurrencyNetwork:
 def _cyclic_gc_paused(fn):
     """Run ``fn`` with the cyclic garbage collector switched off.
 
-    A run allocates a few container objects per step (the step record and
-    its counter dicts) and keeps them all, none of them in a reference
-    cycle. With the collector on, its full passes walk that growing history
-    again and again, which cost about a quarter of a long single-community
-    run. Reference counting still frees everything; the collector's state
-    is restored on return.
+    A run allocates a few container objects per step (the step record, its
+    balance row array, its flow and count tuples and, at a snapshot, the
+    network) and keeps them all, none of them in a reference cycle. With
+    the collector on, its full passes walk that growing history again and
+    again, which cost about a quarter of a long single-community run.
+    Reference counting still frees everything; the collector's state is
+    restored on return.
     """
 
     @functools.wraps(fn)
@@ -798,9 +799,12 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
 
     # each coin's owner is kept once: holder[i][s] is the agent holding coin
     # s of currency i, so currency i's coins are the serials 0 ..
-    # len(holder[i]) - 1; they become Coin values only when a snapshot is
-    # materialized
+    # len(holder[i]) - 1. made[i][s] is the Coin(i, s) value, made once per
+    # run: the initial coins come from the initial network, and a snapshot
+    # makes only the coins minted since the one before, so every snapshot
+    # shares one Coin per coin
     holder = {i: [] for i in currencies}
+    made = {i: sorted(start.community(i).coins) for i in currencies}
     held = [0] * len(keys)
 
     # endogenous runs keep the market sums exactly: sums[j - 1][i - 1] is
@@ -828,18 +832,18 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                 book(agent, i, 1)
         return cols
 
-    mint([(start.holder[Coin(i, s)], i) for i in currencies for s in range(start.coin_count(i))])
+    mint([(start.holder[coin], i) for i in currencies for coin in made[i]])
 
     def materialize():
+        for i in currencies:
+            coins = made[i]
+            coins += [Coin(i, s) for s in range(len(coins), len(holder[i]))]
         communities = tuple(
-            CurrencyCommunity(
-                i, members_record[i], frozenset(Coin(i, s) for s in range(len(holder[i])))
-            )
-            for i in currencies
+            CurrencyCommunity(i, members_record[i], frozenset(made[i])) for i in currencies
         )
         return CurrencyNetwork(
             communities,
-            {Coin(i, s): agent for i in currencies for s, agent in enumerate(holder[i])},
+            {coin: agent for i in currencies for coin, agent in zip(made[i], holder[i])},
         )
 
     strategy = regime.strategy if isinstance(regime, JointEgalitarian) else None

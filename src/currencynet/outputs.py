@@ -34,13 +34,18 @@ def _metric_keys(history: History) -> list:
     return [(a, i) for a in history.agents for i in history.currencies]
 
 
+def _metric_positions(history: History) -> list:
+    """The column of each of the :func:`_metric_keys` in :meth:`History.cashflow_steps`."""
+    return [c for cols in zip(*history.key_columns(history.agents)) for c in cols]
+
+
 def _metric_columns(history: History):
     """Per step, the metrics of the :func:`_metric_keys` in row order.
 
     Yields ``(t, balance, income, revenue, expenses, cashflow)``, each
     metric a tuple aligned with those keys.
     """
-    positions = [c for cols in zip(*history.key_columns(history.agents)) for c in cols]
+    positions = _metric_positions(history)
     if len(positions) == 1:  # itemgetter of one position gives no tuple
 
         def pick(values, position=positions[0]):
@@ -67,24 +72,32 @@ def _csv_field(text: str) -> str:
 
 
 def write_metrics_csv(history: History, path) -> None:
-    """The rows of :func:`metrics_rows`, one f-string each.
+    """The rows of :func:`metrics_rows`, one ``%`` template per step.
 
     Gives the same bytes as ``csv.writer``: the numbers are ints, and each
-    agent name is quoted once, by ``csv.writer`` itself.
+    agent name is quoted once, by ``csv.writer`` itself, with its ``%``
+    doubled for the template. A step's arguments are picked, in row
+    order, from its balance, income, revenue, expenses and cashflow lists
+    (each over the columns of :meth:`History.cashflow_steps`) and its t.
     """
-    texts = [f"{_csv_field(agent)},{i}" for agent, i in _metric_keys(history)]
+    width = len(history.keys) + 1  # the key index and its trailing column
+    arguments = itemgetter(
+        *[
+            p
+            for c in _metric_positions(history)
+            for p in (5 * width, c, width + c, 2 * width + c, 3 * width + c, 4 * width + c)
+        ]
+    )
+    template = "".join(
+        f"%d,{_csv_field(agent).replace('%', '%%')},{i},%d,%d,%d,%d,%d\r\n"
+        for agent, i in _metric_keys(history)
+    )
     with open(path, "w", newline="") as handle:
         handle.write(",".join(METRICS_COLUMNS) + "\r\n")
-        for t, balance, income, revenue, expenses, cashflow in _metric_columns(history):
+        for step, balance, cashflow in history.cashflow_steps():
+            income, revenue, expenses = history.dense_flows(step)
             handle.write(
-                "".join(
-                    [
-                        f"{t},{text},{b},{m},{r},{e},{c}\r\n"
-                        for text, b, m, r, e, c in zip(
-                            texts, balance, income, revenue, expenses, cashflow
-                        )
-                    ]
-                )
+                template % arguments(balance + income + revenue + expenses + cashflow + [step.t])
             )
 
 

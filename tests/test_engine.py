@@ -16,6 +16,7 @@ from currencynet.engine import (
 )
 from currencynet.errors import ConfigError
 from currencynet.justice import predicted_mint_fraction
+from currencynet.ledger import network_from_dict, network_to_dict
 from currencynet import scenarios
 
 
@@ -190,6 +191,30 @@ class TestEngineAccounting:
         report = check_accounting_identity(result.history)
         assert report.ok, report.violations[:3]
         assert all(step.network is not None for step in result.history.steps)
+
+    def test_snapshots_share_one_coin_value_per_coin(self):
+        config = tiny_pair(
+            steps=30,
+            snapshot_interval=1,
+            trade_noise=2,
+            rates=RatesConfig(mode="endogenous"),
+            settlement=True,
+            joins={10: (("a", 2),)},
+        )
+        result = run_scenario(config)
+        steps = result.history.steps
+        assert steps[10].joins == {("a", 2)} and result.solver_log
+        report = check_accounting_identity(result.history)
+        assert report.ok, report.violations[:3]
+        made = {}
+        for step in steps:
+            network = step.network
+            assert network_from_dict(network_to_dict(network)) == network
+            for community in network.communities:
+                for coin in community.coins:
+                    assert made.setdefault(coin, coin) is coin
+            assert all(made[coin] is coin for coin in network.holder)
+        assert len(made) == sum(steps[-1].counts)
 
     def test_membership_record_changes_only_at_joins(self):
         # single_community_dilution has joins at steps 10, 20 and 30

@@ -1,5 +1,6 @@
 """scripts/scaling_grid.py at a tiny size."""
 import importlib.util
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -55,6 +56,22 @@ def test_timing_is_untraced_and_memory_untimed(scaling_grid, monkeypatch):
     assert traced == [False, False, True]
     assert 0 < retained <= peak
     assert not tracemalloc.is_tracing()
+
+
+def test_peak_rss_comes_from_a_fresh_interpreter(scaling_grid):
+    # memory this process holds must not count towards the point's reading
+    ballast = b"\1" * (64 * 2**20)
+    own = scaling_grid.peak_rss_mb()
+    assert 0 < scaling_grid.rss_point(6, 10) < own - 32
+    del ballast
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_peak_rss_falls_back_to_ru_maxrss(scaling_grid, tmp_path):
+    # ru_maxrss also keeps the high-water marks from before exec, so it is
+    # never below VmHWM read earlier
+    hwm = scaling_grid.peak_rss_mb()
+    assert 0 < hwm <= scaling_grid.peak_rss_mb(str(tmp_path / "missing"))
 
 
 def test_run_peak_holds_no_per_coin_dict(scaling_grid):
