@@ -3,12 +3,13 @@
 A history records one entry per step: who joined, who minted what, and the
 per-agent counters (balance, income, revenue, expenses). The counters are
 the record every accessor and post-run pass reads. A step may also retain a
-full network snapshot; a step built from snapshots derives its counters
-from the snapshot and the one before by one rule, :func:`snapshot_diff`,
-and :func:`check_accounting_identity` derives them again wherever two
-consecutive snapshots are retained, so a snapshot that disagrees with its
-record is reported. Long simulations keep counters for every step and thin
-the snapshots to stay within memory.
+snapshot: ``holders[i - 1][s]`` holds coin s of currency i, and the network
+is built from it only when read. A step built from snapshots derives its
+counters from its holder record and the one before by one rule,
+:func:`snapshot_diff`, and :func:`check_accounting_identity` derives them
+again wherever two consecutive snapshots are retained, so a snapshot that
+disagrees with its record is reported. Long simulations keep counters for
+every step and thin the snapshots to stay within memory.
 
 Definitions, for agent v, currency i and step t >= 1:
 
@@ -39,7 +40,7 @@ from operator import add, sub
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BadIndexError, MonotonicityViolationError, RecordError
-from .ledger import CurrencyNetwork
+from .ledger import Coin, CurrencyCommunity, CurrencyNetwork
 
 
 def _tally(keys: list, columns) -> dict:
@@ -50,33 +51,54 @@ def _tally(keys: list, columns) -> dict:
     return counts
 
 
-def snapshot_diff(previous: Optional[CurrencyNetwork], network: CurrencyNetwork) -> tuple:
-    """A step's counters, derived from its snapshot and the one before.
+def snapshot_diff(previous: Optional[tuple], holders: tuple, column: Mapping, width: int) -> tuple:
+    """A step's counters over key columns, from its holder record and the one before.
 
-    Returns ``(balances, income, revenue, expenses)``. ``balances`` maps
-    every member (agent, currency) key of ``network`` to the coins it holds.
-    Each flow is a list with one key per coin: income names the holder of
-    each coin that ``previous`` lacks, revenue the new holder of each old
-    coin that changed hands, and expenses its holder in ``previous``. With
-    no ``previous`` (the initial step) every flow is empty.
+    ``column`` maps (agent, currency) keys to columns. Returns ``(row, income,
+    revenue, expenses)``: ``row[c]`` counts the coins of the key in column c;
+    income lists the holder's column of each coin past the end of ``previous``,
+    revenue and expenses the new and the old holder's of each old coin that
+    moved. A key from column ``width`` on is no member: its coins are left out,
+    so the identities report them.
     """
-    balances = {(agent, i): 0 for i in network.currencies for agent in network.members(i)}
-    holder = network.holder
-    for coin, agent in holder.items():
-        balances[(agent, coin.currency)] += 1
-    if previous is None:
-        return balances, [], [], []
-    before = previous.holder
+    row = [0] * (width + 1)
     income: list = []
     revenue: list = []
-    for coin, agent in holder.items():
-        was = before.get(coin)
-        if was != agent:
-            (income if was is None else revenue).append((agent, coin.currency))
-    expenses = [
-        (agent, coin.currency) for coin, agent in before.items() if holder.get(coin) != agent
-    ]
-    return balances, income, revenue, expenses
+    expenses: list = []
+    for i, now in enumerate(holders, 1):
+        for agent, n in Counter(now).items():
+            row[min(column.get((agent, i), width), width)] += n
+        if previous is not None:
+            before = previous[i - 1]
+            income += [column.get((agent, i), width) for agent in now[len(before):]]
+            for was, agent in zip(before, now):
+                if was != agent:
+                    revenue.append(column.get((agent, i), width))
+                    expenses.append(column.get((was, i), width))
+    del row[width]
+    return (row, *([c for c in flow if c < width] for flow in (income, revenue, expenses)))
+
+
+def _holder_record(network: CurrencyNetwork, t: int, kept: Sequence[int]) -> tuple:
+    """Per currency of ``network``, the holder of each coin by serial.
+
+    A network that lacks one of the ``kept[i - 1]`` serials the step before
+    had raises :class:`MonotonicityViolationError`; one whose serials are
+    otherwise not 0..n-1 raises :class:`RecordError`.
+    """
+    holder = network.holder
+    record = []
+    for i, before in zip(network.currencies, kept):
+        n = network.coin_count(i)
+        # a Coin equals the plain tuple (currency, serial), so that finds it
+        who = tuple([holder.get((i, s)) for s in range(n)])
+        gap = who.index(None) if None in who else n
+        if gap < before:
+            raise MonotonicityViolationError(f"currency {i} lost coins at step {t}")
+        if gap < n:
+            raise RecordError(f"currency {i} at step {t} lacks serial {gap} of 0..{n - 1}")
+        record.append(who)
+    return tuple(record)
 
 
 class HistoryStep:
@@ -101,7 +123,7 @@ class HistoryStep:
     """
 
     __slots__ = (
-        "t", "joins", "members", "network", "keys", "row", "counts",
+        "t", "joins", "members", "holders", "keys", "row", "counts",
         "minted_cols", "income_cols", "revenue_cols", "expenses_cols",
     )
 
@@ -117,12 +139,12 @@ class HistoryStep:
         income: Sequence[int],
         revenue: Sequence[int],
         expenses: Sequence[int],
-        network: Optional[CurrencyNetwork] = None,
+        holders: Optional[tuple] = None,   # per currency, its coins' holders by serial
     ):
         self.t = t
         self.joins = joins
         self.members = members
-        self.network = network
+        self.holders = holders
         self.keys = keys
         self.row = array("q", row)
         self.counts = counts
@@ -138,6 +160,19 @@ class HistoryStep:
     revenue = property(lambda self: _tally(self.keys, self.revenue_cols))
     expenses = property(lambda self: _tally(self.keys, self.expenses_cols))
 
+    @property
+    def network(self) -> Optional[CurrencyNetwork]:
+        """The step's snapshot as a validated network, built anew on each read."""
+        if self.holders is None:
+            return None
+        coins = [[Coin(i, s) for s in range(len(who))] for i, who in enumerate(self.holders, 1)]
+        return CurrencyNetwork(
+            tuple(
+                CurrencyCommunity(i, self.members[i], frozenset(c)) for i, c in enumerate(coins, 1)
+            ),
+            {coin: agent for c, who in zip(coins, self.holders) for coin, agent in zip(c, who)},
+        )
+
 
 class History:
     """Append-only sequence of steps with monotone agents and coins."""
@@ -149,12 +184,12 @@ class History:
         self._columns: dict = {}
         self._member_counts: list = []
         self.extend_index(members)
-        balances = snapshot_diff(None, network)[0]
+        holders = _holder_record(network, 0, [0] * network.k)
+        row = snapshot_diff(None, holders, self._columns, len(self._keys))[0]
         self._steps = [
             HistoryStep(
-                self._keys, 0, frozenset(self._keys), members,
-                tuple(map(network.coin_count, network.currencies)),
-                map(balances.__getitem__, self._keys), (), (), (), (), network,
+                self._keys, 0, frozenset(self._keys), members, tuple(map(len, holders)),
+                row, (), (), (), (), holders,
             )
         ]
 
@@ -266,17 +301,19 @@ class History:
                     raise MonotonicityViolationError(
                         f"community {i} lost members at step {step.t}"
                     )
-        if step.network is not None and last.network is not None:
-            for i in self.currencies:
-                if not last.network.community(i).coins <= step.network.community(i).coins:
-                    raise MonotonicityViolationError(
-                        f"currency {i} lost coins at step {step.t}"
-                    )
         for agent, i in step.joins:
             if agent not in step.members[i]:
                 raise MonotonicityViolationError(
                     f"join record ({agent!r}, {i}) not reflected in membership"
                 )
+        # a holder record spans its currency's coins, held by members only;
+        # with the minted-versus-growth check below, no coin is lost either
+        holders = step.holders
+        if holders is not None and (
+            list(map(len, holders)) != list(step.counts)
+            or not all(step.members[i].issuperset(who) for i, who in enumerate(holders, 1))
+        ):
+            raise RecordError(f"step {step.t} has a holder record off its coin counts or members")
         if step.keys is not self._keys:
             raise RecordError(f"step {step.t} is not over this history's key index")
         new = self._unindexed(step.members) if step.members is not last.members else []
@@ -320,18 +357,20 @@ class History:
         self._index(new)
         self._steps.append(step)
 
-    def extend(self, network: CurrencyNetwork, minted: Mapping, keep_network: bool = True) -> None:
+    def extend(self, network: CurrencyNetwork, minted: Mapping) -> None:
         """Append the next step, its counters derived from ``network`` and the last snapshot.
 
         ``minted`` maps (agent, currency) to the coins it created at the
         step; a negative count, or coins for a key that is no member key,
-        raise :class:`RecordError`.
+        raise :class:`RecordError`. The step retains ``network`` as its
+        holder record.
         """
         last = self._steps[-1]
-        previous = last.network
+        previous = last.holders
         if previous is None:
             raise ValueError("cannot extend a history whose last step has no snapshot")
         t = last.t + 1
+        holders = _holder_record(network, t, last.counts)
         members = {i: network.members(i) for i in network.currencies}
         new = self._unindexed(members)
         width = len(self._keys) + len(new)
@@ -347,24 +386,16 @@ class History:
                         f"step {t} records coins minted by {key!r}, which is not a member key"
                     )
                 minted_cols += [c] * n
-        balances, *flows = snapshot_diff(previous, network)
-        row = [0] * width
-        for key, b in balances.items():
-            row[column[key]] = b
-        # a key outside the member set gets the column past the end, which
-        # append_step refuses once it has found the member that was lost
-        income, revenue, expenses = ([column.get(key, width) for key in flow] for flow in flows)
+        row, income, revenue, expenses = snapshot_diff(previous, holders, column, width)
         self.append_step(
             HistoryStep(
                 self._keys, t,
                 frozenset(
                     (agent, i) for i in network.currencies
-                    for agent in members[i] - previous.members(i)
+                    for agent in members[i] - last.members[i]
                 ),
-                members,
-                tuple(map(network.coin_count, network.currencies)),
-                row, minted_cols, income, revenue, expenses,
-                network if keep_network else None,
+                members, tuple(map(len, holders)),
+                row, minted_cols, income, revenue, expenses, holders,
             )
         )
 
@@ -482,33 +513,15 @@ def check_accounting_identity(history: History) -> AccountingReport:
     columns = history.columns
     masks = [[key[1] == i for key in keys] for i in history.currencies]
 
-    def snapshot_row(balances: Mapping, width: int) -> list:
-        # a key outside the first ``width`` columns belongs to no member at
-        # the step, and any coin it holds or moves shows as a record violation
-        row = [0] * width
-        for key, b in balances.items():
-            c = columns.get(key, width)
-            if c < width:
-                row[c] = b
-        return row
-
-    first = steps[0]
-    if first.network is not None:
-        before = snapshot_row(snapshot_diff(None, first.network)[0], len(first.row))
-    else:
-        before = first.row.tolist()
+    before = steps[0].row.tolist()
     running = list(before)  # b_0 + accumulated flows
     for t in range(1, len(steps)):
         step = steps[t]
-        if step.network is not None and steps[t - 1].network is not None:
-            balances, *flows = snapshot_diff(steps[t - 1].network, step.network)
-            report.violations += _record_violations(step, balances, *flows)
-            width = len(step.row)
-            row = snapshot_row(balances, width)
-            income, revenue, expenses = (
-                [c for c in (columns.get(key, width) for key in flow) if c < width]
-                for flow in flows
+        if step.holders is not None and steps[t - 1].holders is not None:
+            row, income, revenue, expenses = snapshot_diff(
+                steps[t - 1].holders, step.holders, columns, len(step.row)
             )
+            report.violations += _record_violations(step, row, income, revenue, expenses)
         else:
             row = step.row.tolist()
             income, revenue, expenses = step.income_cols, step.revenue_cols, step.expenses_cols
@@ -559,19 +572,17 @@ def check_accounting_identity(history: History) -> AccountingReport:
     return report
 
 
-def _record_violations(step: HistoryStep, balances: Mapping, *flows: list) -> list:
-    """Where ``step``'s record disagrees with the counters :func:`snapshot_diff` derived."""
-    violations = []
-    derived = (balances, *map(Counter, flows))
-    for name, found in zip(("balances", "income", "revenue", "expenses"), derived):
-        recorded = getattr(step, name)
-        for key in set(found) | set(recorded):
-            if found.get(key, 0) != recorded.get(key, 0):
-                violations.append(
-                    AccountingViolation(
-                        step.t, key[0], key[1], "record",
-                        f"snapshot-derived {name} {found.get(key, 0)} "
-                        f"does not match the recorded {recorded.get(key, 0)}",
-                    )
-                )
-    return violations
+def _record_violations(step: HistoryStep, row: list, *flows: list) -> list:
+    """Where ``step``'s record disagrees with the key columns derived from its snapshot."""
+    recorded = (step.row, *map(Counter, (step.income_cols, step.revenue_cols, step.expenses_cols)))
+    return [
+        AccountingViolation(
+            step.t, *step.keys[c], "record",
+            f"snapshot-derived {name} {found[c]} does not match the recorded {kept[c]}",
+        )
+        for name, found, kept in zip(
+            ("balances", "income", "revenue", "expenses"), (row, *map(Counter, flows)), recorded
+        )
+        for c in range(len(row))
+        if found[c] != kept[c]
+    ]

@@ -129,6 +129,8 @@ class ExchangeRateMatrix:
 
     def column(self, j: int) -> list:
         """Values of one coin of each currency, expressed in currency j coins."""
+        if not 1 <= j <= self.k:
+            raise InvalidRatesError(f"currency index out of range: {j}")
         return [row[j - 1] for row in self.ex]
 
     @classmethod

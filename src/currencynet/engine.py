@@ -491,7 +491,12 @@ def validate_config(config: ScenarioConfig) -> list:
             values = [v for _, v in schedule.points] or [
                 schedule.value, schedule.start, schedule.tau
             ]
-            if min(values) <= 0:
+            at_steps = [step for step, _ in schedule.points]
+            if schedule.kind not in ("constant", "exp_approach", "table"):
+                err("rates", f"unknown substitution schedule kind {schedule.kind!r}")
+            elif schedule.kind == "table" and (not at_steps or at_steps != sorted(at_steps)):
+                err("rates", "a table schedule needs at least one point, in ascending step order")
+            elif min(values) <= 0:
                 err("rates", "substitution schedule values, start and tau must be positive")
         if rates.mrs_matrix is not None:
             matrix = rates.mrs_matrix
@@ -586,7 +591,9 @@ def validate_config(config: ScenarioConfig) -> list:
             "single community with unbounded egalitarian minting and bounded "
             "membership: per-agent shares converge to the equal split",
         )
-    if k == 2 and rates.mode == "exogenous" and rates.mrs12 is not None and rates.mrs_matrix is None:
+    # an ill-posed schedule has no limit to read
+    schedule_ok = rates.mrs12 is not None and not [d for d in diags if d.code == "rates"]
+    if k == 2 and rates.mode == "exogenous" and schedule_ok and rates.mrs_matrix is None:
         limit = rates.mrs12.limit
         v1 = eventual.get(1, set())
         v2 = eventual.get(2, set())
@@ -661,7 +668,7 @@ class RunResult:
 
     @property
     def final_network(self) -> Optional[CurrencyNetwork]:
-        """The final step's snapshot, if it was retained."""
+        """The final step's snapshot, if it was retained, built anew on each read."""
         return self.history.steps[-1].network
 
     def mrs12_series(self) -> list:
@@ -720,20 +727,14 @@ class RunResult:
 
 
 def initial_network(config: ScenarioConfig) -> CurrencyNetwork:
+    # coin s of each currency goes to its s-th holder, agents in sorted order
     holder = {}
     communities = []
     for cc in config.communities:
-        serial = 0
-        coins = set()
-        for agent in sorted(cc.initial_coins):
-            for _ in range(cc.initial_coins[agent]):
-                coin = Coin(cc.index, serial)
-                serial += 1
-                coins.add(coin)
-                holder[coin] = agent
-        communities.append(
-            CurrencyCommunity(cc.index, frozenset(cc.members), frozenset(coins))
-        )
+        owners = [a for a in sorted(cc.initial_coins) for _ in range(cc.initial_coins[a])]
+        coins = [Coin(cc.index, s) for s in range(len(owners))]
+        holder.update(zip(coins, owners))
+        communities.append(CurrencyCommunity(cc.index, frozenset(cc.members), frozenset(coins)))
     return CurrencyNetwork(tuple(communities), holder)
 
 
@@ -742,7 +743,7 @@ def _cyclic_gc_paused(fn):
 
     A run allocates a few container objects per step (the step record, its
     balance row array, its flow and count tuples and, at a snapshot, the
-    network) and keeps them all, none of them in a reference cycle. With
+    holder tuples) and keeps them all, none of them in a reference cycle. With
     the collector on, its full passes walk that growing history again and
     again, which cost about a quarter of a long single-community run.
     Reference counting still frees everything; the collector's state is
@@ -792,19 +793,15 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     # the history starts from the initial network and indexes every member
     # (agent, currency) key; held[c] is the coin count of keys[c], so each
     # step records ``held`` as its balance row
-    start = initial_network(config)
-    history = History(start)
+    history = History(initial_network(config))
     keys = history.keys
     key_column = history.columns
 
     # each coin's owner is kept once: holder[i][s] is the agent holding coin
     # s of currency i, so currency i's coins are the serials 0 ..
-    # len(holder[i]) - 1. made[i][s] is the Coin(i, s) value, made once per
-    # run: the initial coins come from the initial network, and a snapshot
-    # makes only the coins minted since the one before, so every snapshot
-    # shares one Coin per coin
+    # len(holder[i]) - 1. A snapshot retains tuple(holder[i]) per currency,
+    # the same record the history starts from, and builds no network
     holder = {i: [] for i in currencies}
-    made = {i: sorted(start.community(i).coins) for i in currencies}
     held = [0] * len(keys)
 
     # endogenous runs keep the market sums exactly: sums[j - 1][i - 1] is
@@ -832,19 +829,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                 book(agent, i, 1)
         return cols
 
-    mint([(start.holder[coin], i) for i in currencies for coin in made[i]])
-
-    def materialize():
-        for i in currencies:
-            coins = made[i]
-            coins += [Coin(i, s) for s in range(len(coins), len(holder[i]))]
-        communities = tuple(
-            CurrencyCommunity(i, members_record[i], frozenset(made[i])) for i in currencies
-        )
-        return CurrencyNetwork(
-            communities,
-            {coin: agent for i in currencies for coin, agent in zip(made[i], holder[i])},
-        )
+    mint([(agent, i) for i, who in enumerate(history.steps[0].holders, 1) for agent in who])
 
     strategy = regime.strategy if isinstance(regime, JointEgalitarian) else None
     is_myopic = isinstance(strategy, Myopic)
@@ -1061,7 +1046,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                 income,
                 revenue,
                 expenses,
-                materialize() if retain else None,
+                tuple(tuple(holder[i]) for i in currencies) if retain else None,
             )
         )
         rates_timeline.append(in_force)

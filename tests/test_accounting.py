@@ -264,6 +264,47 @@ class TestAppendStep:
         assert history.last_step == 0
         assert history.keys == [("a", 1), ("b", 1)]
 
+    def test_serial_gap_is_refused(self):
+        # coins of a currency must be the serials 0..n-1
+        network = grant_network(["a", "b"], 1)
+        gapped = network.with_coins({Coin(1, 3): "a"})
+        with pytest.raises(RecordError, match="lacks serial 2"):
+            History(gapped)
+        history = History(network)
+        with pytest.raises(RecordError, match="lacks serial 2"):
+            history.extend(gapped, minted={("a", 1): 1})
+        # a serial the last snapshot had is a lost coin, wherever the gap is
+        lost = CurrencyNetwork(
+            (CurrencyCommunity(1, frozenset({"a", "b"}), frozenset({Coin(1, 1), Coin(1, 2)})),),
+            {Coin(1, 1): "b", Coin(1, 2): "a"},
+        )
+        with pytest.raises(MonotonicityViolationError, match="lost coins"):
+            history.extend(lost, minted={("a", 1): 1})
+        assert history.last_step == 0
+
+    def test_holder_record_is_checked(self):
+        network = grant_network(["a", "b"], 1)
+        history = History(network)
+        start = history.steps[0]
+        assert start.holders == (("a", "b"),)
+        records = (
+            (("a", "z"),),  # z is no member of currency 1
+            (("a",),),  # one coin short of the count
+            (("a", "b", "b"),),  # one coin too many
+            (),  # no currency at all
+        )
+        for holders in records:
+            step = HistoryStep(
+                history.keys, 1, frozenset(), start.members, start.counts, start.row,
+                (), (), (), (), holders,
+            )
+            with pytest.raises(RecordError, match="holder record"):
+                history.append_step(step)
+        assert history.last_step == 0
+        history.extend(network, minted={})
+        assert history.steps[1].holders == start.holders
+        assert history.steps[1].network == network
+
     def test_minted_record_must_match_growth(self):
         network = grant_network(["a"], 0)
         grown = network.with_coins({Coin(1, 0): "a"})
@@ -279,15 +320,16 @@ class TestAccountingIdentity:
 
     def test_corrupted_snapshot_detected(self):
         history = build_random_history(seed=6, steps=10)
-        # teleport one coin without any record, between two retained snapshots
+        # teleport coin 0 in one holder record, between two retained snapshots
         step = history.steps[5]
-        coin = sorted(step.network.community(1).coins)[0]
-        owner = step.network.holder[coin]
-        other = next(a for a in step.network.agents if a != owner)
-        step.network = step.network.with_holder(coin, other)
+        (held,) = step.holders
+        owner = held[0]
+        other = next(a for a in history.agents if a != owner)
+        step.holders = ((other,) + held[1:],)
         report = check_accounting_identity(history)
         assert not report.ok
         assert any(v.t == 5 or v.t == 6 for v in report.violations)
+        assert any(v.t == 5 and v.kind == "record" for v in report.violations)
         # the accessors read the record, not the corrupted snapshot
         row = dict(zip(history.keys, step.row))
         assert history.balance(5, owner, 1) == row[(owner, 1)]

@@ -445,6 +445,14 @@ class TestExchangeRateMatrixValidation:
         with pytest.raises(InvalidRatesError):
             ExchangeRateMatrix(np.array([[1.0, -2.0], [-0.5, 1.0]]))
 
+    @pytest.mark.parametrize("j", [0, -1, 3])
+    def test_column_index_checked(self, j):
+        # column(0) used to read column 2 through index -1
+        rates = ExchangeRateMatrix(((1.0, 2.0), (0.5, 1.0)))
+        assert rates.column(2) == [2.0, 1.0]
+        with pytest.raises(InvalidRatesError, match="out of range"):
+            rates.column(j)
+
 
 class TestFractionalEquity:
     def test_sole_holder_owns_everything(self):

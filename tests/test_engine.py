@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 
 import pytest
 
@@ -16,7 +17,7 @@ from currencynet.engine import (
 )
 from currencynet.errors import ConfigError
 from currencynet.justice import predicted_mint_fraction
-from currencynet.ledger import network_from_dict, network_to_dict
+from currencynet.ledger import Coin, network_from_dict, network_to_dict
 from currencynet import scenarios
 
 
@@ -192,7 +193,7 @@ class TestEngineAccounting:
         assert report.ok, report.violations[:3]
         assert all(step.network is not None for step in result.history.steps)
 
-    def test_snapshots_share_one_coin_value_per_coin(self):
+    def test_snapshots_are_built_from_the_holder_records(self):
         config = tiny_pair(
             steps=30,
             snapshot_interval=1,
@@ -206,15 +207,32 @@ class TestEngineAccounting:
         assert steps[10].joins == {("a", 2)} and result.solver_log
         report = check_accounting_identity(result.history)
         assert report.ok, report.violations[:3]
-        made = {}
         for step in steps:
             network = step.network
             assert network_from_dict(network_to_dict(network)) == network
-            for community in network.communities:
-                for coin in community.coins:
-                    assert made.setdefault(coin, coin) is coin
-            assert all(made[coin] is coin for coin in network.holder)
-        assert len(made) == sum(steps[-1].counts)
+            # built anew on each read from the step's members and holder record
+            assert step.network is not network and step.network == network
+            assert step.holders == tuple(
+                tuple(network.holder[Coin(i, s)] for s in range(network.coin_count(i)))
+                for i in network.currencies
+            )
+            assert {i: network.members(i) for i in network.currencies} == step.members
+        assert list(map(len, steps[-1].holders)) == list(steps[-1].counts)
+
+    def test_every_step_snapshots_retain_little(self):
+        # a snapshot keeps one holder slot per coin, not a network
+        config = scenarios.pair_convergence_endogenous(steps=250)._replace(snapshot_interval=1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            history = run_scenario(config).history
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert retained < 3 * 2**20
+        assert all(step.network is not None for step in history.steps)
 
     def test_membership_record_changes_only_at_joins(self):
         # single_community_dilution has joins at steps 10, 20 and 30
@@ -246,7 +264,7 @@ class TestEngineAccounting:
     def test_final_snapshot_always_retained(self):
         result = run_scenario(tiny_pair(steps=25))
         assert result.history.steps[-1].network is not None
-        assert result.final_network is result.history.steps[-1].network
+        assert result.final_network == result.history.steps[-1].network
 
     def test_trades_do_not_move_value(self):
         quiet = run_scenario(tiny_pair(steps=80, trade_noise=0))
@@ -452,6 +470,26 @@ class TestValidateConfig:
         config = tiny_pair(rates=RatesConfig(mode="exogenous", mrs12=schedule))
         diags = validate_config(config)
         assert [d.code for d in diags if d.level == "error"] == ["rates"]
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            MrsSchedule(kind="table"),
+            MrsSchedule(kind="bogus"),
+            MrsSchedule(kind="table", points=((5, 1.5), (1, 1.2))),
+        ],
+        ids=["empty-table", "unknown-kind", "unsorted-table"],
+    )
+    def test_ill_posed_schedule_rejected(self, schedule):
+        # each one used to raise a bare IndexError or silently apply 1.5 from step 1
+        config = scenarios.pair_convergence_exogenous(steps=5)._replace(
+            rates=RatesConfig(mode="exogenous", mrs12=schedule)
+        )
+        diags = validate_config(config)
+        assert [d.code for d in diags if d.level == "error"] == ["rates"]
+        assert not [d for d in diags if d.code == "convergence"]
+        with pytest.raises(ConfigError, match="rates: "):
+            run_scenario(config)
 
     def test_ignored_solver_knobs_noted(self):
         assert not any(
