@@ -183,6 +183,7 @@ class History:
         self._keys: list = []
         self._columns: dict = {}
         self._member_counts: list = []
+        self._tallies: dict = {}  # id -> (minted tuple, coins per currency)
         self.extend_index(members)
         holders = _holder_record(network, 0, [0] * network.k)
         row = snapshot_diff(None, holders, self._columns, len(self._keys))[0]
@@ -325,14 +326,20 @@ class History:
             )
         # one min() and one max() per flow keep the check cheap; a negative
         # column would wrap round the index, and the minted columns are
-        # bounded from above by their lookup in the tally
-        minted = [0] * len(self._currencies)
-        outside = bool(step.minted_cols) and min(step.minted_cols) < 0
-        try:
-            for c in step.minted_cols:
-                minted[keys[c][1] - 1] += 1
-        except IndexError:
-            outside = True
+        # bounded from above by their lookup in the tally. A minted tuple
+        # that passed before passes again (it is immutable and the index
+        # only grows), so its tally is kept, and the tuple with it
+        kept = self._tallies.get(id(step.minted_cols), (None, None))
+        minted = kept[1] if kept[0] is step.minted_cols else None
+        outside = False
+        if minted is None:
+            minted = [0] * len(self._currencies)
+            outside = bool(step.minted_cols) and min(step.minted_cols) < 0
+            try:
+                for c in step.minted_cols:
+                    minted[keys[c][1] - 1] += 1
+            except IndexError:
+                outside = True
         for cols in (step.revenue_cols, step.expenses_cols, step.income_cols):
             if cols and cols is not step.minted_cols and (min(cols) < 0 or max(cols) >= width):
                 outside = True
@@ -354,6 +361,9 @@ class History:
                 f"match the coin growth ({minted[i - 1]} vs {growth[i - 1]})"
             )
         # every check has passed: only now grow the index
+        if len(self._tallies) == 64:  # a bound for runs that mint a new tuple each step
+            self._tallies.clear()
+        self._tallies[id(step.minted_cols)] = (step.minted_cols, minted)
         self._index(new)
         self._steps.append(step)
 

@@ -541,8 +541,9 @@ def largest_remainder_targets(fractions: Sequence[float], total: int) -> list:
     leftover = total - sum(base)
     if leftover < 0:
         raise InfeasibleAllocationError("fractions sum above one")
-    order = sorted(range(len(exact)), key=lambda idx: (-(exact[idx] - base[idx]), idx))
-    for idx in order[:leftover]:
+    # a stable sort, so equal remainders keep the earlier position first
+    remainders = [x - b for x, b in zip(exact, base)]
+    for idx in sorted(range(len(exact)), key=remainders.__getitem__, reverse=True)[:leftover]:
         base[idx] += 1
     return base
 

@@ -132,10 +132,11 @@ class MrsSchedule(NamedTuple):
                 tau=float(data.get("tau", 1.0)),
             )
         if kind == "table":
-            points = tuple(sorted((int(s), float(v)) for s, v in data["points"]))
+            # by step alone: points at one step keep their order, and the check reports them
+            points = sorted(((int(s), float(v)) for s, v in data["points"]), key=lambda p: p[0])
             if not points:
                 raise ConfigError("table schedule needs at least one point")
-            return cls(kind="table", points=points)
+            return cls(kind="table", points=tuple(points))
         raise ConfigError(f"unknown schedule kind {kind!r}")
 
     def to_dict(self) -> dict:
@@ -494,8 +495,8 @@ def validate_config(config: ScenarioConfig) -> list:
             at_steps = [step for step, _ in schedule.points]
             if schedule.kind not in ("constant", "exp_approach", "table"):
                 err("rates", f"unknown substitution schedule kind {schedule.kind!r}")
-            elif schedule.kind == "table" and (not at_steps or at_steps != sorted(at_steps)):
-                err("rates", "a table schedule needs at least one point, in ascending step order")
+            elif schedule.kind == "table" and (not at_steps or at_steps != sorted(set(at_steps))):
+                err("rates", "a table schedule needs at least one point, one per step, in step order")
             elif min(values) <= 0:
                 err("rates", "substitution schedule values, start and tau must be positive")
         if rates.mrs_matrix is not None:
@@ -780,15 +781,18 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     members_record = {cc.index: frozenset(cc.members) for cc in config.communities}
 
     def index_members():
-        # sorted members per currency, every agent, and each agent's currencies
+        # sorted members per currency, every agent, each agent's currencies,
+        # and the membership tuples that leave a choice
         agents = sorted(set().union(*members_record.values()))
+        memberships = {a: tuple(i for i in currencies if a in members_record[i]) for a in agents}
         return (
             {i: tuple(sorted(who)) for i, who in members_record.items()},
             agents,
-            {a: tuple(i for i in currencies if a in members_record[i]) for a in agents},
+            memberships,
+            sorted({mine for mine in memberships.values() if len(mine) > 1}),
         )
 
-    member_tuple, agents, memberships = index_members()
+    member_tuple, agents, memberships, multi = index_members()
 
     # the history starts from the initial network and indexes every member
     # (agent, currency) key; held[c] is the coin count of keys[c], so each
@@ -818,18 +822,31 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         for x in columns:
             column[x] += sign * row[x]
 
-    def mint(mints):
-        # the one place coins are created: one per (agent, currency) pair;
-        # returns the key column of each coin
-        cols = list(map(key_column.__getitem__, mints))
-        for (agent, i), c in zip(mints, cols):
-            holder[i].append(agent)
+    def mint_plan(mints):
+        # one coin per (agent, currency) pair: each coin's key column, each
+        # currency's minters in mint order (so they take the serials one
+        # append per coin would) and, with market sums, each sums increment
+        minters = {i: [] for i in currencies}
+        for agent, i in mints:
+            minters[i].append(agent)
+        delta = None
+        if sums is not None:
+            delta = [[sum(scaled[a][x] for a in who) for x in columns] for who in minters.values()]
+        return tuple(map(key_column.__getitem__, mints)), minters, delta
+
+    def mint(plan):
+        # the one place coins are created; returns the key column of each coin
+        cols, minters, delta = plan
+        for i, who in minters.items():
+            holder[i] += who
+        for c in cols:
             held[c] += 1
-            if sums is not None:
-                book(agent, i, 1)
+        for column, more in zip(sums, delta) if delta else ():
+            for x in columns:
+                column[x] += more[x]
         return cols
 
-    mint([(agent, i) for i, who in enumerate(history.steps[0].holders, 1) for agent in who])
+    mint(mint_plan([(a, i) for i, who in enumerate(history.steps[0].holders, 1) for a in who]))
 
     strategy = regime.strategy if isinstance(regime, JointEgalitarian) else None
     is_myopic = isinstance(strategy, Myopic)
@@ -837,8 +854,10 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     # coins for each joiner: the birth grant, or under any other regime the join grant
     grant = regime.coins if isinstance(regime, EqualBirthGrant) else config.join_grant
     single = regime.community if isinstance(regime, EgalitarianSingle) else None
-    if single is not None:
-        single_mints = [(agent, single) for agent in member_tuple[single]]
+    # myopic and single-community runs reuse the plan of each choice vector
+    # (one choice per tuple of ``multi``) until a join or a new weight epoch
+    cached = is_myopic or single is not None
+    plans: dict = {}
 
     # the weights change at a join and, when initial weights are given, at
     # t_fix; only the solver and the strategies behind the dispatch read them
@@ -884,10 +903,9 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                 members_record[cur] = members_record[cur] | {agent}
                 joins_t.append((agent, cur))
             held += [0] * len(history.extend_index(members_record))
-            member_tuple, agents, memberships = index_members()
+            member_tuple, agents, memberships, multi = index_members()
             membership_epoch += 1
-            if single is not None:
-                single_mints = [(agent, single) for agent in member_tuple[single]]
+            plans = {}
         if reads_weights and (membership_epoch, t < t_fix) != epoch:
             epoch = (membership_epoch, t < t_fix)
             weight_rows = _mask_weights(
@@ -900,6 +918,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                     [w for a in agents for w in weight_rows[a]]
                 )
                 scaled = {a: flat[n * k:(n + 1) * k] for n, a in enumerate(agents)}
+                plans = {}
                 sums = [[0] * k for _ in currencies]
                 for (a, j), n in zip(keys, held):
                     if n:
@@ -914,20 +933,24 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         moved_old: dict = {}
         settled = False
 
-        # -- minting: this step's (agent, currency) pairs, one per coin -----
-        mints = single_mints if single is not None else []
-        balances = None  # the (agent, currency) balances, for the dispatch
-        if strategy is not None:
-            # two fast paths in front of the one dispatch: a single
-            # membership, and the myopic choice per membership tuple
-            for agent in agents:
-                mine = memberships[agent]
+        # -- minting: one plan per step; a cached plan is kept per choice vector
+        grants = [key for key in sorted(joins_t) for _ in range(grant)]
+        for mine in multi if is_myopic else ():
+            if mine not in myopic_choice:
+                myopic_choice[mine] = most_valued_coin(in_force, mine)
+        vector = tuple(map(myopic_choice.get, multi)) if cached and not grants else None
+        plan = plans.get(vector)
+        if plan is None:
+            # this step's (agent, currency) pairs, one per coin
+            mints = [(agent, single) for agent in member_tuple[single]] if single else []
+            balances = None  # the (agent, currency) balances, for the dispatch
+            for agent, mine in memberships.items() if strategy is not None else ():
+                # two fast paths in front of the one dispatch: a single
+                # membership, and the myopic choice per membership tuple
                 if len(mine) == 1 and not is_fixed:
                     choice = mine[0]
                 elif is_myopic:
-                    choice = myopic_choice.get(mine)
-                    if choice is None:
-                        choice = myopic_choice[mine] = most_valued_coin(in_force, mine)
+                    choice = myopic_choice[mine]
                 else:
                     if balances is None:
                         balances = dict(zip(keys, held))
@@ -941,9 +964,10 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                         rng=rng,
                     )
                 mints.append((agent, choice))
-        if grant and joins_t:
-            mints = mints + [key for key in sorted(joins_t) for _ in range(grant)]
-        minted = mint(mints)
+            plan = mint_plan(mints + grants)
+            if vector is not None:
+                plans[vector] = plan
+        minted = mint(plan)
 
         # -- random trade noise (old coins only) ---------------------------
         if config.trade_noise:

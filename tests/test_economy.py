@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from currencynet.economy import (
@@ -594,6 +594,36 @@ class TestLargestRemainder:
         targets = largest_remainder_targets(fractions, total)
         assert sum(targets) == total
         assert all(n >= 0 for n in targets)
+
+
+def sorted_rule(fractions, total):
+    """Largest remainder by a full sort on (-remainder, position)."""
+    exact = [float(f) * total for f in fractions]
+    base = [math.floor(x) for x in exact]
+    order = sorted(range(len(exact)), key=lambda idx: (-(exact[idx] - base[idx]), idx))
+    for idx in order[: total - sum(base)]:
+        base[idx] += 1
+    return base
+
+
+@st.composite
+def tying_fractions(draw):
+    """Fractions in 32nds, so that equal parts tie exactly, or arbitrary ones."""
+    if draw(st.booleans()):
+        parts = draw(st.lists(st.integers(0, 3), min_size=1, max_size=8))
+        return [n / 32 for n in parts]  # sum at most 3/4
+    raw = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    total = sum(raw)
+    return [x / total for x in raw] if total else [1.0 / len(raw)] * len(raw)
+
+
+class TestLargestRemainderRule:
+    @given(tying_fractions(), st.integers(0, 64))
+    @example([0.25, 0.25, 0.5], 4)   # nothing left over
+    @example([0.25, 0.25, 0.5], 0)
+    @example([0.25, 0.25, 0.25, 0.25], 2)  # four tied remainders, two coins over
+    def test_matches_the_sorted_rule(self, fractions, total):
+        assert largest_remainder_targets(fractions, total) == sorted_rule(fractions, total)
 
 
 class TestPreferenceProfile:

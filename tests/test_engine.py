@@ -1,9 +1,13 @@
 import gc
+import importlib.util
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from currencynet import accounting, economy, engine
 from currencynet.accounting import check_accounting_identity
 from currencynet.engine import (
     CommunityConfig,
@@ -18,7 +22,18 @@ from currencynet.engine import (
 from currencynet.errors import ConfigError
 from currencynet.justice import predicted_mint_fraction
 from currencynet.ledger import Coin, network_from_dict, network_to_dict
+from currencynet.minting import most_valued_coin
 from currencynet import scenarios
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+import tracing  # noqa: E402
+import workloads  # noqa: E402
+
+import test_reference  # noqa: E402
+
+# the reference replay of one config, without the random configs around it
+replay = test_reference.test_reference_layer_replays_every_engine_step.hypothesis.inner_test
 
 
 def tiny_pair(steps=50, **overrides):
@@ -283,6 +298,81 @@ class TestEngineAccounting:
                 assert held_net(quiet) == held_net(noisy)
 
 
+def shared_minted(steps) -> bool:
+    """Whether some two of ``steps`` record one minted tuple object."""
+    return len({id(step.minted_cols) for step in steps}) < len(steps)
+
+
+class TestMintPlans:
+    def test_equal_choices_share_one_minted_tuple(self):
+        config = workloads.exo_wide(1)
+        result = run_scenario(config)
+        steps = result.history.steps
+        # only the agents in both communities choose, and they choose alike
+        by_choice: dict = {}
+        for t in range(1, config.steps + 1):
+            choice = most_valued_coin(result.rates_timeline[t], (1, 2))
+            assert steps[t].minted_cols is by_choice.setdefault(choice, steps[t].minted_cols), t
+            assert steps[t].income_cols is steps[t].minted_cols
+        assert sorted(by_choice) == [1, 2] and by_choice[1] != by_choice[2]
+        assert len({id(step.minted_cols) for step in steps[1:]}) == 2
+
+    @pytest.mark.parametrize(
+        "config, boundary",
+        [
+            # a joins currency 2 at step 10 without a grant: its tuple changes
+            (tiny_pair(steps=24, trade_noise=2, joins={10: (("a", 2),)}, snapshot_interval=1), 10),
+            # the weights, and so the scaled market sums, change at t_fix
+            (
+                tiny_pair(
+                    steps=24,
+                    trade_noise=2,
+                    rates=RatesConfig(mode="endogenous"),
+                    settlement=True,
+                    preferences={"b": {1: 0.7, 2: 0.3}, "c": {1: 0.2, 2: 0.8}},
+                    preferences_initial={"b": {1: 0.4, 2: 0.6}, "c": {1: 0.9, 2: 0.1}},
+                    t_fix=12,
+                    snapshot_interval=1,
+                ),
+                12,
+            ),
+        ],
+        ids=["myopic-join-without-grant", "endogenous-across-t_fix"],
+    )
+    def test_plans_are_rebuilt_at_an_epoch(self, config, boundary):
+        result = run_scenario(config)
+        steps = result.history.steps
+        keys = result.history.keys
+        for before, step in zip(steps, steps[1:]):
+            tally = [0] * config.k
+            for c in step.minted_cols:
+                tally[keys[c][1] - 1] += 1
+            assert tally == [n - m for n, m in zip(step.counts, before.counts)], step.t
+        # plans are shared within an epoch and never across its start
+        early, late = steps[1:boundary], steps[boundary:]
+        assert shared_minted(early) and shared_minted(late)
+        assert not {id(s.minted_cols) for s in early} & {id(s.minted_cols) for s in late}
+        replay(config)
+
+    def test_grid_history_retains_shared_mint_tuples(self):
+        # the 300 x 300 scaling-grid point retained 2.19 MB while each step
+        # kept its own minted tuple of 300 columns; sharing leaves about 1.5 MB
+        spec = importlib.util.spec_from_file_location(
+            "scaling_grid", ROOT / "scripts" / "scaling_grid.py"
+        )
+        scaling_grid = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(scaling_grid)
+        retained, _ = scaling_grid.memory_point(scaling_grid.grid_config(300, 300))
+        assert retained < 1.75
+
+    def test_tracer_targets_resolve(self):
+        # bench/tracing.py rebinds these names; a refactor must keep them
+        for owner, attr, name in tracing.TARGETS:
+            assert callable(vars(owner).get(attr)), name
+        assert {owner for owner, _, _ in tracing.TARGETS} >= {accounting, engine}
+        assert vars(engine)["largest_remainder_targets"] is economy.largest_remainder_targets
+
+
 class TestSettlement:
     def endo_config(self, settlement, k_eq=5):
         return ScenarioConfig(
@@ -489,6 +579,19 @@ class TestValidateConfig:
         assert [d.code for d in diags if d.level == "error"] == ["rates"]
         assert not [d for d in diags if d.code == "convergence"]
         with pytest.raises(ConfigError, match="rates: "):
+            run_scenario(config)
+
+    @pytest.mark.parametrize("points", [[[5, 2.0], [5, 1.0]], [[5, 1.0], [5, 2.0]]])
+    def test_two_table_points_at_one_step_rejected(self, points):
+        schedule = MrsSchedule.from_dict({"kind": "table", "points": [[9, 1.5], *points]})
+        # sorted by step alone: the two points keep the file's order
+        assert schedule.points == ((5, points[0][1]), (5, points[1][1]), (9, 1.5))
+        config = scenarios.pair_convergence_exogenous(steps=5)._replace(
+            rates=RatesConfig(mode="exogenous", mrs12=schedule)
+        )
+        diags = validate_config(config)
+        assert [d.code for d in diags if d.level == "error"] == ["rates"]
+        with pytest.raises(ConfigError, match="rates: .*one per step"):
             run_scenario(config)
 
     def test_ignored_solver_knobs_noted(self):
