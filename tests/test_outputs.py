@@ -66,6 +66,55 @@ GOLDEN_PERMUTED_INDEX = {
 }
 
 
+# sha256 over the four bundle files of each strategy_variants() config, in
+# GOLDEN_EXOGENOUS's order: the mint strategies and grants the runs above
+# leave out
+GOLDEN_STRATEGIES = {
+    "joint_defensive": "9dd26342d91f26031f7ef653fccd33cc7bc22195ec14e4a998b11f0e3648702b",
+    "joint_random": "f1831991d1916a48a546b076d157cf1f79e555ee53e295aba788f44b0c107101",
+    "joint_egocentric": "b3536c484766cc58059b2146fa4604a3d24f9e8d568798c55ad2993eda2c3362",
+    "joint_fixed:1": "a03ea432d283f93bdb7d6ed0f8e3c2747cc298ec9c825f22f26fc2f92e09efc2",
+    "join_grant": "6866e421e97ff9bbdd048099f3c9a0380058bb4a1d5dda72daa80d9d4ff43b39",
+    "equal_birth_grant": "c053913db7b56ec4abeae70f59e2c24c8595448385daf1d750882a6fe5745209",
+}
+
+
+def strategy_variants() -> dict:
+    """pair_convergence_exogenous(steps=40) under each strategy and grant rule."""
+    base = scenarios.pair_convergence_exogenous(steps=40)
+    one, two = base.communities
+    joins = {5: (("e", 1),), 9: (("d", 1), ("e", 2))}
+    return {
+        "joint_defensive": base._replace(regime="joint_defensive"),
+        "joint_random": base._replace(regime="joint_random"),
+        # uniform weights would give the defensive choice
+        "joint_egocentric": base._replace(
+            regime="joint_egocentric",
+            preferences={
+                "a": {1: 1.0}, "b": {1: 0.7, 2: 0.3}, "c": {1: 0.2, 2: 0.8}, "d": {2: 1.0},
+            },
+        ),
+        "joint_fixed:1": base._replace(
+            regime="joint_fixed:1", communities=(one._replace(members=("a", "b", "c", "d")), two)
+        ),
+        "join_grant": base._replace(joins=joins, join_grant=2),
+        "equal_birth_grant": base._replace(regime="equal_birth_grant", grant=3, joins=joins),
+    }
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_STRATEGIES))
+def test_strategy_bundle_bytes_match_golden_digests(tmp_path, variant):
+    outputs.write_bundle(run_scenario(strategy_variants()[variant]), tmp_path)
+    digest = hashlib.sha256()
+    for name in GOLDEN_EXOGENOUS:
+        digest.update((tmp_path / name).read_bytes())
+    assert digest.hexdigest() == GOLDEN_STRATEGIES[variant]
+
+
+def test_strategy_goldens_pin_distinct_runs():
+    assert len(set(GOLDEN_STRATEGIES.values())) == len(GOLDEN_STRATEGIES)
+
+
 def permuted_index():
     """A newcomer sorting before every founder joins 2, then 1; founder m joins 2."""
     return ScenarioConfig(
