@@ -28,8 +28,9 @@ the keys indexed so far, its coin counts per currency, and its minted,
 income, revenue and expenses records as tuples of columns, one entry per
 coin. A tuple entry costs one pointer, as an ``array('q')`` entry costs
 eight bytes, because the column ints are the index's own objects; and a
-tuple is built several times faster. ``HistoryStep``'s dict attributes are
-built from these on access.
+tuple is built several times faster. A step records only what the history
+cannot derive: its columns are read against the history's key index, and
+the keys new at step t are the ones its row adds to the index.
 """
 from __future__ import annotations
 
@@ -41,14 +42,6 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BadIndexError, MonotonicityViolationError, RecordError
 from .ledger import Coin, CurrencyCommunity, CurrencyNetwork
-
-
-def _tally(keys: list, columns) -> dict:
-    counts: dict = {}
-    for c in columns:
-        key = keys[c]
-        counts[key] = counts.get(key, 0) + 1
-    return counts
 
 
 def snapshot_diff(previous: Optional[tuple], holders: tuple, column: Mapping, width: int) -> tuple:
@@ -104,8 +97,8 @@ def _holder_record(network: CurrencyNetwork, t: int, kept: Sequence[int]) -> tup
 class HistoryStep:
     """One step of a network history. Treat instances as immutable.
 
-    The record is columnar over ``keys``, the key index of the history the
-    step joins: ``row[c]`` is the balance of ``keys[c]``, ``counts[i - 1]``
+    The record is columnar over the key index of the history the step is
+    appended to: ``row[c]`` is the balance of ``keys[c]``, ``counts[i - 1]``
     the coins of currency i, and the ``minted``, ``income``, ``revenue`` and
     ``expenses`` arguments give one key column per coin (kept as
     ``minted_cols``, ``income_cols``, ``revenue_cols`` and
@@ -117,21 +110,17 @@ class HistoryStep:
 
     ``minted`` records who created each new coin, which can differ from
     ``income`` when a freshly minted coin changes hands within the step:
-    income follows the holder at the snapshot. The dict attributes
-    (``balances``, ``coin_counts``, ``minted``, ``income``, ``revenue``,
-    ``expenses``) are built from the columns on every access.
+    income follows the holder at the snapshot.
     """
 
     __slots__ = (
-        "t", "joins", "members", "holders", "keys", "row", "counts",
+        "t", "members", "holders", "row", "counts",
         "minted_cols", "income_cols", "revenue_cols", "expenses_cols",
     )
 
     def __init__(
         self,
-        keys: list,
         t: int,
-        joins: frozenset,
         members: Mapping,           # currency -> frozenset of agents
         counts: tuple,              # coins per currency 1..k
         row: Sequence[int],
@@ -142,23 +131,14 @@ class HistoryStep:
         holders: Optional[tuple] = None,   # per currency, its coins' holders by serial
     ):
         self.t = t
-        self.joins = joins
         self.members = members
         self.holders = holders
-        self.keys = keys
         self.row = array("q", row)
         self.counts = counts
         self.minted_cols = tuple(minted)
         self.income_cols = self.minted_cols if income is minted else tuple(income)
         self.revenue_cols = tuple(revenue)
         self.expenses_cols = tuple(expenses)
-
-    balances = property(lambda self: dict(zip(self.keys, self.row)))
-    coin_counts = property(lambda self: dict(enumerate(self.counts, 1)))
-    minted = property(lambda self: _tally(self.keys, self.minted_cols))
-    income = property(lambda self: _tally(self.keys, self.income_cols))
-    revenue = property(lambda self: _tally(self.keys, self.revenue_cols))
-    expenses = property(lambda self: _tally(self.keys, self.expenses_cols))
 
     @property
     def network(self) -> Optional[CurrencyNetwork]:
@@ -188,10 +168,7 @@ class History:
         holders = _holder_record(network, 0, [0] * network.k)
         row = snapshot_diff(None, holders, self._columns, len(self._keys))[0]
         self._steps = [
-            HistoryStep(
-                self._keys, 0, frozenset(self._keys), members, tuple(map(len, holders)),
-                row, (), (), (), (), holders,
-            )
+            HistoryStep(0, members, tuple(map(len, holders)), row, (), (), (), (), holders)
         ]
 
     @property
@@ -287,10 +264,9 @@ class History:
     def append_step(self, step: HistoryStep) -> None:
         """Check ``step`` against the last one, put it on the key index and append it.
 
-        ``step`` must be over :attr:`keys` and its row must span the index,
-        its new members' keys included; every flow column must fall inside
-        that span, from 0 to below its end. A refused step leaves the index
-        as it was.
+        ``step``'s row must span the index, its new members' keys included;
+        every flow column must fall inside that span, from 0 to below its
+        end. A refused step leaves the index as it was.
         """
         last = self._steps[-1]
         if step.t != last.t + 1:
@@ -302,11 +278,6 @@ class History:
                     raise MonotonicityViolationError(
                         f"community {i} lost members at step {step.t}"
                     )
-        for agent, i in step.joins:
-            if agent not in step.members[i]:
-                raise MonotonicityViolationError(
-                    f"join record ({agent!r}, {i}) not reflected in membership"
-                )
         # a holder record spans its currency's coins, held by members only;
         # with the minted-versus-growth check below, no coin is lost either
         holders = step.holders
@@ -315,8 +286,6 @@ class History:
             or not all(step.members[i].issuperset(who) for i, who in enumerate(holders, 1))
         ):
             raise RecordError(f"step {step.t} has a holder record off its coin counts or members")
-        if step.keys is not self._keys:
-            raise RecordError(f"step {step.t} is not over this history's key index")
         new = self._unindexed(step.members) if step.members is not last.members else []
         keys = self._keys + new if new else self._keys
         width = len(keys)
@@ -399,12 +368,7 @@ class History:
         row, income, revenue, expenses = snapshot_diff(previous, holders, column, width)
         self.append_step(
             HistoryStep(
-                self._keys, t,
-                frozenset(
-                    (agent, i) for i in network.currencies
-                    for agent in members[i] - last.members[i]
-                ),
-                members, tuple(map(len, holders)),
+                t, members, tuple(map(len, holders)),
                 row, minted_cols, income, revenue, expenses, holders,
             )
         )
@@ -531,7 +495,7 @@ def check_accounting_identity(history: History) -> AccountingReport:
             row, income, revenue, expenses = snapshot_diff(
                 steps[t - 1].holders, step.holders, columns, len(step.row)
             )
-            report.violations += _record_violations(step, row, income, revenue, expenses)
+            report.violations += _record_violations(step, keys, row, income, revenue, expenses)
         else:
             row = step.row.tolist()
             income, revenue, expenses = step.income_cols, step.revenue_cols, step.expenses_cols
@@ -582,12 +546,12 @@ def check_accounting_identity(history: History) -> AccountingReport:
     return report
 
 
-def _record_violations(step: HistoryStep, row: list, *flows: list) -> list:
+def _record_violations(step: HistoryStep, keys: list, row: list, *flows: list) -> list:
     """Where ``step``'s record disagrees with the key columns derived from its snapshot."""
     recorded = (step.row, *map(Counter, (step.income_cols, step.revenue_cols, step.expenses_cols)))
     return [
         AccountingViolation(
-            step.t, *step.keys[c], "record",
+            step.t, *keys[c], "record",
             f"snapshot-derived {name} {found[c]} does not match the recorded {kept[c]}",
         )
         for name, found, kept in zip(

@@ -534,13 +534,19 @@ def largest_remainder_targets(fractions: Sequence[float], total: int) -> list:
     """Round fractions of ``total`` to integers preserving the exact total.
 
     Standard largest-remainder rounding; remainder ties break toward the
-    earlier position.
+    earlier position. Fractions that sum above one, or so far below it that
+    more coins are left over than there are positions, raise
+    :class:`InfeasibleAllocationError`.
     """
     exact = [float(f) * total for f in fractions]
     base = [math.floor(x) for x in exact]
     leftover = total - sum(base)
     if leftover < 0:
         raise InfeasibleAllocationError("fractions sum above one")
+    if leftover > len(base):
+        raise InfeasibleAllocationError(
+            f"fractions sum below one: {leftover} coins left over for {len(base)} positions"
+        )
     # a stable sort, so equal remainders keep the earlier position first
     remainders = [x - b for x, b in zip(exact, base)]
     for idx in sorted(range(len(exact)), key=remainders.__getitem__, reverse=True)[:leftover]:

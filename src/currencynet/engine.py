@@ -449,9 +449,12 @@ def validate_config(config: ScenarioConfig) -> list:
 
     if isinstance(regime, EgalitarianSingle) and not 1 <= regime.community <= k:
         err("regime", f"egalitarian_single targets unknown community {regime.community}")
+    fixed = None  # the joint_fixed currency, when it exists
     if isinstance(regime, JointEgalitarian) and isinstance(regime.strategy, FixedCurrency):
-        if not 1 <= regime.strategy.currency <= k:
-            err("regime", f"joint_fixed targets unknown community {regime.strategy.currency}")
+        fixed = regime.strategy.currency
+        if not 1 <= fixed <= k:
+            err("regime", f"joint_fixed targets unknown community {fixed}")
+            fixed = None
     if isinstance(regime, EqualBirthGrant):
         warn(
             "bounded_minting",
@@ -461,6 +464,12 @@ def validate_config(config: ScenarioConfig) -> list:
 
     # replay the joins; what is left is every community's eventual members
     eventual = {cc.index: set(cc.members) for cc in config.communities}
+
+    def outside_fixed() -> set:
+        # the agents present now that cannot mint the fixed currency
+        return set().union(*eventual.values()) - eventual[fixed] if fixed else set()
+
+    outside = outside_fixed()
     for step in sorted(config.joins):
         if step < 1:
             err("joins", f"join scheduled at step {step}; steps start at 1")
@@ -473,6 +482,14 @@ def validate_config(config: ScenarioConfig) -> list:
                 err("joins", f"{agent!r} joins community {cur} twice")
             else:
                 eventual[cur].add(agent)
+        if step <= config.steps:
+            outside |= outside_fixed()
+    if outside:
+        err(
+            "regime",
+            f"joint_fixed:{fixed} mints only currency {fixed}, but these agents are "
+            f"present without being its members: {sorted(outside)}",
+        )
 
     rates = config.rates
     if rates.mode == "exogenous":
@@ -624,7 +641,6 @@ class RatesEvent(NamedTuple):
     t: int
     mrs: tuple            # row tuples
     ex: tuple
-    prices: Optional[tuple] = None
 
 
 class SolverEvent(NamedTuple):
@@ -850,7 +866,6 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
 
     strategy = regime.strategy if isinstance(regime, JointEgalitarian) else None
     is_myopic = isinstance(strategy, Myopic)
-    is_fixed = isinstance(strategy, FixedCurrency)
     # coins for each joiner: the birth grant, or under any other regime the join grant
     grant = regime.coins if isinstance(regime, EqualBirthGrant) else config.join_grant
     single = regime.community if isinstance(regime, EgalitarianSingle) else None
@@ -867,11 +882,13 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     reads_weights = track_sums or (strategy is not None and not is_myopic)
     membership_epoch = 0
     epoch = None
+    weight_rows: Mapping = NO_ENTRIES
     patterns: dict = {}  # the solver's reducibility check, per positivity pattern
 
     rates = ExchangeRateMatrix.ones(k)
     rates_timeline = [rates]
-    # the myopic choice per membership tuple under the rates in force
+    # the myopic choice per membership tuple under the rates in force, which
+    # keys the cached plans
     myopic_choice: dict = {}
     rates_log: list = []
     solver_log: list = []
@@ -881,7 +898,6 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         exo_matrix = tuple(tuple(float(x) for x in row) for row in exo_matrix)
 
     snapshot_interval = config.snapshot_interval
-    no_joins = frozenset()
 
     def move(i, serial, payer, payee):
         # start_len and moved_old are the current step's
@@ -896,12 +912,10 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
 
     for t in range(1, config.steps + 1):
         in_force = rates
-        joins_t = []
         if t in config.joins:
             members_record = dict(members_record)
             for agent, cur in config.joins[t]:
                 members_record[cur] = members_record[cur] | {agent}
-                joins_t.append((agent, cur))
             held += [0] * len(history.extend_index(members_record))
             member_tuple, agents, memberships, multi = index_members()
             membership_epoch += 1
@@ -934,7 +948,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         settled = False
 
         # -- minting: one plan per step; a cached plan is kept per choice vector
-        grants = [key for key in sorted(joins_t) for _ in range(grant)]
+        grants = [key for key in sorted(config.joins.get(t, ())) for _ in range(grant)]
         for mine in multi if is_myopic else ():
             if mine not in myopic_choice:
                 myopic_choice[mine] = most_valued_coin(in_force, mine)
@@ -943,27 +957,14 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         if plan is None:
             # this step's (agent, currency) pairs, one per coin
             mints = [(agent, single) for agent in member_tuple[single]] if single else []
-            balances = None  # the (agent, currency) balances, for the dispatch
-            for agent, mine in memberships.items() if strategy is not None else ():
-                # two fast paths in front of the one dispatch: a single
-                # membership, and the myopic choice per membership tuple
-                if len(mine) == 1 and not is_fixed:
-                    choice = mine[0]
-                elif is_myopic:
-                    choice = myopic_choice[mine]
-                else:
-                    if balances is None:
-                        balances = dict(zip(keys, held))
+            if strategy is not None:
+                balances = dict(zip(keys, held))
+                for agent, mine in memberships.items():
                     choice = choose_mint_currency(
-                        strategy,
-                        agent,
-                        mine,
-                        balances,
-                        rates=in_force,
-                        weights=weight_rows[agent],
-                        rng=rng,
+                        strategy, agent, mine, balances,
+                        rates=in_force, weights=weight_rows.get(agent), rng=rng,
                     )
-                mints.append((agent, choice))
+                    mints.append((agent, choice))
             plan = mint_plan(mints + grants)
             if vector is not None:
                 plans[vector] = plan
@@ -1009,13 +1010,10 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                     mrs = ((1.0, m), (1.0 / m, 1.0))
                 else:
                     mrs = exo_matrix
-                prices = None
                 ranking = ranking_from_mrs(mrs, counts_now)
             rates = coin_exchange_rates(mrs, counts_now, ranking)
             myopic_choice = {}
-            rates_log.append(
-                RatesEvent(t, mrs, rates.ex, prices=prices)
-            )
+            rates_log.append(RatesEvent(t, mrs, rates.ex))
             if config.settlement and endogenous:
                 settled = True
                 balances = dict(zip(keys, held))
@@ -1060,9 +1058,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         )
         history.append_step(
             HistoryStep(
-                keys,
                 t,
-                frozenset(joins_t) if joins_t else no_joins,
                 members_record,
                 tuple(counts_now),
                 held,

@@ -116,7 +116,7 @@ def write_rates_csv(result: RunResult, path) -> None:
     """
     with open(path, "w", newline="") as handle:
         handle.write("t,i,j,mrs,ex\r\n")
-        for t, mrs, ex, _ in result.rates_log:
+        for t, mrs, ex in result.rates_log:
             k = len(mrs)
             handle.write(
                 "".join(

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import hypothesis.strategies as st
 from hypothesis import settings
 
@@ -25,6 +27,11 @@ def make_network(spec):
             CurrencyCommunity(index, frozenset(members), frozenset(coins))
         )
     return CurrencyNetwork(tuple(communities), holder)
+
+
+def tally(history, cols) -> Counter:
+    """(agent, currency) -> how often ``cols``, a step's key columns, name that key."""
+    return Counter(map(history.keys.__getitem__, cols))
 
 
 AGENT_POOL = ["a", "b", "c", "d", "e", "f", "g"]

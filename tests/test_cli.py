@@ -173,9 +173,20 @@ def test_check_error_is_fatal(tmp_path, capsys):
     assert cli.main(["check", "--scenario", str(path)]) == cli.EXIT_USAGE
 
 
-def with_regime(tag, **fields):
+def updated(**fields):
     def edit(data):
-        data.update(regime=tag, **fields)
+        data.update(fields)
+
+    return edit
+
+
+def with_regime(tag, **fields):
+    return updated(regime=tag, **fields)
+
+
+def with_community(n, **fields):
+    def edit(data):
+        data["communities"][n].update(fields)
 
     return edit
 
@@ -188,23 +199,108 @@ def negative_join_grant(data):
     data["join_grant"] = -1
 
 
+def communities_out_of_order(data):
+    data["communities"].reverse()
+
+
+def third_currency(data):
+    data["communities"].append({"index": 3, "members": ["d"], "initial_coins": {"d": 1}})
+
+
+def exogenous_matrix(matrix):
+    return updated(rates={"mode": "exogenous", "mrs_matrix": matrix})
+
+
+def arbitrage_matrix(data):
+    third_currency(data)
+    exogenous_matrix([[1.0, 2.0, 4.0], [0.5, 1.0, 1.0], [0.25, 1.0, 1.0]])(data)
+
+
 @pytest.mark.parametrize(
-    "edit, code",
+    "edit, code, text",
     [
-        pytest.param(with_regime("joint_fixed:x"), "regime", id="fixed_currency_not_an_index"),
-        pytest.param(with_regime("equal_birth_grant", grant=0), "regime", id="zero_birth_grant"),
-        pytest.param(with_regime("equal_birth_grant", grant=-3), "regime", id="negative_birth_grant"),
-        pytest.param(negative_initial_coins, "initial_coins", id="negative_initial_coins"),
-        pytest.param(negative_join_grant, "join_grant", id="negative_join_grant"),
+        pytest.param(
+            with_regime("joint_fixed:x"), "regime", "joint_fixed needs a currency index",
+            id="fixed_currency_not_an_index",
+        ),
+        pytest.param(
+            with_regime("joint_fixed:2"), "regime", "without being its members: ['a']",
+            id="fixed_currency_misses_an_agent",
+        ),
+        pytest.param(
+            with_regime("equal_birth_grant", grant=0), "regime", "requires a positive 'grant'",
+            id="zero_birth_grant",
+        ),
+        pytest.param(
+            with_regime("equal_birth_grant", grant=-3), "regime", "requires a positive 'grant'",
+            id="negative_birth_grant",
+        ),
+        pytest.param(
+            with_regime("egalitarian_single", community=3), "regime",
+            "egalitarian_single targets unknown community 3", id="single_unknown_community",
+        ),
+        pytest.param(
+            negative_initial_coins, "initial_coins", "negative coin counts for ['a']",
+            id="negative_initial_coins",
+        ),
+        pytest.param(
+            with_community(0, initial_coins={"a": 1, "z": 2}), "initial_coins",
+            "coins for non-members ['z']", id="coins_for_a_non_member",
+        ),
+        pytest.param(
+            with_community(0, members=[], initial_coins={}), "members",
+            "community 1 has no members", id="no_members",
+        ),
+        pytest.param(
+            negative_join_grant, "join_grant", "join grant cannot be negative",
+            id="negative_join_grant",
+        ),
+        pytest.param(
+            communities_out_of_order, "communities", "1..k in order, got [2, 1]",
+            id="communities_out_of_order",
+        ),
+        pytest.param(updated(steps=0), "steps", "at least 1", id="zero_steps"),
+        pytest.param(updated(k_eq=0), "k_eq", "at least 1", id="zero_k_eq"),
+        pytest.param(
+            updated(trade_noise=-1), "trade_noise", "cannot be negative", id="negative_trade_noise"
+        ),
+        pytest.param(
+            updated(snapshot_interval=-1), "snapshot_interval", "cannot be negative",
+            id="negative_snapshot_interval",
+        ),
+        pytest.param(
+            updated(joins={"0": [["e", 1]]}), "joins", "join scheduled at step 0",
+            id="join_at_step_0",
+        ),
+        pytest.param(
+            updated(joins={"5": [["e", 3]]}), "joins", "targets unknown community 3",
+            id="join_to_unknown_community",
+        ),
+        pytest.param(
+            third_currency, "rates", "k != 2 needs a full mrs_matrix",
+            id="three_currencies_without_matrix",
+        ),
+        pytest.param(
+            exogenous_matrix([[1.0, 2.0]]), "rates", "mrs_matrix must be 2x2",
+            id="matrix_of_wrong_shape",
+        ),
+        pytest.param(
+            arbitrage_matrix, "rates", "arbitrage-free trade violated", id="matrix_with_arbitrage"
+        ),
+        pytest.param(
+            with_regime("joint_egocentric", preferences={"a": {"1": 0.5}}), "preferences",
+            "weights of 'a' must be nonnegative and sum to 1", id="weights_not_summing_to_1",
+        ),
     ],
 )
-def test_check_reports_bad_values_as_errors(tmp_path, capsys, edit, code):
+def test_check_reports_bad_values_as_errors(tmp_path, capsys, edit, code, text):
     data = scenarios.pair_convergence_exogenous(steps=100).to_dict()
     edit(data)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     assert cli.main(["check", "--scenario", str(path)]) == cli.EXIT_USAGE
-    assert f"error: [{code}]" in capsys.readouterr().out
+    errors = [line for line in capsys.readouterr().out.splitlines() if line.startswith("error: ")]
+    assert any(line.startswith(f"error: [{code}]") and text in line for line in errors), errors
 
 
 def test_check_missing_file():

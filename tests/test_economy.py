@@ -581,6 +581,13 @@ class TestLargestRemainder:
     def test_exact_fractions(self):
         assert largest_remainder_targets([0.2, 0.3, 0.5], 10) == [2, 3, 5]
 
+    @pytest.mark.parametrize(
+        "fractions, total", [([0.125] * 3, 4), ([], 3)], ids=["below_one", "no_positions"]
+    )
+    def test_a_total_it_cannot_keep_is_refused(self, fractions, total):
+        with pytest.raises(InfeasibleAllocationError, match="sum below one"):
+            largest_remainder_targets(fractions, total)
+
     @given(
         st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
         st.integers(0, 200),
@@ -597,9 +604,14 @@ class TestLargestRemainder:
 
 
 def sorted_rule(fractions, total):
-    """Largest remainder by a full sort on (-remainder, position)."""
+    """Largest remainder by a full sort on (-remainder, position).
+
+    None when more coins are left over than there are positions.
+    """
     exact = [float(f) * total for f in fractions]
     base = [math.floor(x) for x in exact]
+    if total - sum(base) > len(base):
+        return None
     order = sorted(range(len(exact)), key=lambda idx: (-(exact[idx] - base[idx]), idx))
     for idx in order[: total - sum(base)]:
         base[idx] += 1
@@ -623,7 +635,12 @@ class TestLargestRemainderRule:
     @example([0.25, 0.25, 0.5], 0)
     @example([0.25, 0.25, 0.25, 0.25], 2)  # four tied remainders, two coins over
     def test_matches_the_sorted_rule(self, fractions, total):
-        assert largest_remainder_targets(fractions, total) == sorted_rule(fractions, total)
+        expected = sorted_rule(fractions, total)
+        if expected is None:
+            with pytest.raises(InfeasibleAllocationError):
+                largest_remainder_targets(fractions, total)
+        else:
+            assert largest_remainder_targets(fractions, total) == expected
 
 
 class TestPreferenceProfile:

@@ -31,6 +31,7 @@ import tracing  # noqa: E402
 import workloads  # noqa: E402
 
 import test_reference  # noqa: E402
+from conftest import tally  # noqa: E402
 
 # the reference replay of one config, without the random configs around it
 replay = test_reference.test_reference_layer_replays_every_engine_step.hypothesis.inner_test
@@ -61,8 +62,8 @@ class TestDeterminism:
         first = run_scenario(config)
         second = run_scenario(config)
         assert first.justice_series() == second.justice_series()
-        assert [s.minted for s in first.history.steps] == [
-            s.minted for s in second.history.steps
+        assert [tally(first.history, s.minted_cols) for s in first.history.steps] == [
+            tally(second.history, s.minted_cols) for s in second.history.steps
         ]
 
     def test_different_seed_differs(self):
@@ -97,11 +98,12 @@ class TestRatesInForce:
         # pre-jump rates are in force and value currency 2's coin more, so
         # b and c mint currency 2; from step 51 ex12 = 3 and they mint 1
         assert result.rates_timeline[50].ex[0][1] < 1.0
-        assert result.history.steps[50].minted == {
+        history = result.history
+        assert tally(history, history.steps[50].minted_cols) == {
             ("a", 1): 1, ("b", 2): 1, ("c", 2): 1, ("d", 2): 1
         }
         for t in range(51, 61):
-            minted = result.history.steps[t].minted
+            minted = tally(history, history.steps[t].minted_cols)
             assert minted.get(("b", 1)) == minted.get(("c", 1)) == 1, t
         assert result.ex12[50] == jump[0].ex[0][1] == 3.0
 
@@ -117,13 +119,13 @@ class TestRegimes:
         )
         result = run_scenario(config)
         for step in result.history.steps[1:]:
-            assert sum(step.minted.values()) == 3
+            assert len(step.minted_cols) == 3
 
     def test_joint_minting_is_one_per_agent(self):
         result = run_scenario(tiny_pair(steps=40))
         for step in result.history.steps[1:]:
             per_agent = {}
-            for (agent, _), n in step.minted.items():
+            for (agent, _), n in tally(result.history, step.minted_cols).items():
                 per_agent[agent] = per_agent.get(agent, 0) + n
             assert per_agent == {"a": 1, "b": 1, "c": 1, "d": 1}
 
@@ -149,9 +151,10 @@ class TestRegimes:
     def test_joiners_mint_from_join_step(self):
         config = scenarios.single_community_dilution(seed=2, steps=40)
         result = run_scenario(config)
-        step = result.history.steps[10]  # a7 joins at 10
-        assert ("a7", 1) in step.joins
-        assert step.minted.get(("a7", 1)) == 1
+        history = result.history
+        step = history.steps[10]  # a7 joins at 10
+        assert "a7" in step.members[1] - history.steps[9].members[1]
+        assert tally(history, step.minted_cols)[("a7", 1)] == 1
         assert result.history.balance(9, "a7", 1) == 0
 
     def test_defensive_balances_currencies(self):
@@ -187,7 +190,7 @@ class TestRegimes:
         minted_a = {i: 0 for i in (1, 2)}
         minted_b = {i: 0 for i in (1, 2)}
         for step in result.history.steps[1:]:
-            for (agent, i), n in step.minted.items():
+            for (agent, i), n in tally(result.history, step.minted_cols).items():
                 (minted_a if agent == "a" else minted_b)[i] += n
         # each agent leans toward the currency it values most
         assert minted_a[1] > minted_a[2]
@@ -219,7 +222,7 @@ class TestEngineAccounting:
         )
         result = run_scenario(config)
         steps = result.history.steps
-        assert steps[10].joins == {("a", 2)} and result.solver_log
+        assert steps[10].members[2] - steps[9].members[2] == {"a"} and result.solver_log
         report = check_accounting_identity(result.history)
         assert report.ok, report.violations[:3]
         for step in steps:
@@ -428,7 +431,7 @@ class TestSettlement:
     def test_settlement_moves_coins(self):
         settled = run_scenario(self.endo_config(True))
         traded = sum(
-            sum(step.revenue.values()) for step in settled.history.steps[1:]
+            len(step.revenue_cols) for step in settled.history.steps[1:]
         )
         assert traded > 0
 
@@ -662,13 +665,13 @@ class TestPreferencePrefix:
 
         with_prefix = run_scenario(config(True))
         without = run_scenario(config(False))
-        early_with = with_prefix.rates_log[0]
-        early_without = without.rates_log[0]
+        early_with = with_prefix.solver_log[0]
+        early_without = without.solver_log[0]
         # shared weights price both currencies equally; the skewed prefix
         # pushes currency 1's price up until t_fix
         assert early_with.prices[0] > 0.6
         assert early_without.prices == pytest.approx((0.5, 0.5), abs=1e-9)
-        late = [e for e in with_prefix.rates_log if e.t >= 10][0]
+        late = [e for e in with_prefix.solver_log if e.t >= 10][0]
         assert late.prices == pytest.approx((0.5, 0.5), abs=1e-9)
 
     def test_joiner_weights_masked_until_arrival(self):
@@ -689,8 +692,8 @@ class TestPreferencePrefix:
             preferences={"a": {1: 0.5, 2: 0.5}, "b": {1: 0.5, 2: 0.5}},
         )
         result = run_scenario(config)
-        before = [e for e in result.rates_log if e.t < 5]
-        after = [e for e in result.rates_log if e.t >= 5]
+        before = [e for e in result.solver_log if e.t < 5]
+        after = [e for e in result.solver_log if e.t >= 5]
         assert before and after
         # with b's currency-2 weight masked, only a demands currency 2 early;
         # once b joins, both do, which moves the equilibrium price

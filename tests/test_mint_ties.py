@@ -38,6 +38,7 @@ from currencynet.minting import most_valued_coin
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
+from conftest import tally  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -98,12 +99,11 @@ def test_endogenous_mints_follow_the_exact_ranking():
     near_ties = 0
     for t in range(1, config.steps):
         step = history.steps[t]
-        counts = [step.coin_counts[1], step.coin_counts[2]]
-        values = exact_coin_values(step.balances, counts, weights)
+        values = exact_coin_values(dict(zip(history.keys, step.row)), step.counts, weights)
         winner = exact_order(values)[0]
         near_ties += abs(values[0] / values[1] - 1) <= Fraction(1, 10**15)
         for agent in ("b", "c"):
-            assert chosen(history.steps[t + 1].minted, agent) == winner, t
+            assert chosen(tally(history, history.steps[t + 1].minted_cols), agent) == winner, t
     # the run does sit on near-ties, so the test decides something
     assert near_ties >= 10
 
@@ -219,9 +219,9 @@ def test_market_sums_follow_every_coin():
         source = config.preferences_initial if event.t < config.t_fix else config.preferences
         weights = _mask_weights(source, memberships, 3)
         agents = sorted(memberships)
+        balances = dict(zip(history.keys, step.row))
         endowment = [
-            [step.balances.get((a, i), 0) / step.coin_counts[i] for i in (1, 2, 3)]
-            for a in agents
+            [balances.get((a, i), 0) / step.counts[i - 1] for i in (1, 2, 3)] for a in agents
         ]
         expected = solve_equilibrium(endowment, [weights[a] for a in agents]).prices
         assert max(abs(p - q) for p, q in zip(event.prices, expected)) < 1e-13, event.t
@@ -266,7 +266,10 @@ def test_agent_names_do_not_change_the_mints():
     original = run_scenario(config).history
     mirrored = run_scenario(renamed(config, names)).history
     for step, other in zip(original.steps[1:], mirrored.steps[1:]):
-        assert {(names[a], i): n for (a, i), n in step.minted.items()} == other.minted, step.t
+        minted = tally(original, step.minted_cols)
+        assert {(names[a], i): n for (a, i), n in minted.items()} == tally(
+            mirrored, other.minted_cols
+        ), step.t
 
 
 def in_force_configs():

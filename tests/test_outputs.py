@@ -324,7 +324,7 @@ def test_permuted_key_index_bundle_matches_golden_digests(tmp_path):
     assert keys[-3:] == [("a", 2), ("m", 2), ("a", 1)]
     assert keys != sorted(keys)
     # trade noise moved coins between agents, so the cashflow columns count
-    assert any(step.revenue for step in result.history.steps)
+    assert any(step.revenue_cols for step in result.history.steps)
     outputs.write_bundle(result, tmp_path)
     assert digests(tmp_path, GOLDEN_PERMUTED_INDEX) == GOLDEN_PERMUTED_INDEX
 

