@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import compress, count, islice
+from operator import sub
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -322,6 +323,23 @@ def demand(endowment, weights, prices) -> list:
     return allocation
 
 
+def demand_columns(holdings, counts, weights, prices) -> list:
+    """:func:`demand` by currency columns, from coin counts: the same floats.
+
+    ``holdings[j][n]`` is the number of coins of currency j + 1 agent n
+    holds, of ``counts[j]`` in all, and ``weights[j][n]`` the agent's
+    weight on that currency. Returns, per currency, each agent's demanded
+    fraction of it. Each wealth is summed currency by currency from 0.0 and
+    each fraction is ``w * wealth / p``, the operations of :func:`demand`
+    on the fractions ``n / c`` in the same order, so the results equal its
+    transposed rows bit for bit.
+    """
+    wealth = [0.0] * len(holdings[0])
+    for column, c, p in zip(holdings, counts, prices):
+        wealth = [x + n / c * p for x, n in zip(wealth, column)]
+    return [[w * x / p for w, x in zip(column, wealth)] for column, p in zip(weights, prices)]
+
+
 def solve_equilibrium(endowment, weights) -> EquilibriumResult:
     """Competitive equilibrium of the Cobb-Douglas diluted-portfolio economy.
 
@@ -538,8 +556,8 @@ def largest_remainder_targets(fractions: Sequence[float], total: int) -> list:
     more coins are left over than there are positions, raise
     :class:`InfeasibleAllocationError`.
     """
-    exact = [float(f) * total for f in fractions]
-    base = [math.floor(x) for x in exact]
+    exact = list(map(float(total).__mul__, map(float, fractions)))
+    base = list(map(math.floor, exact))
     leftover = total - sum(base)
     if leftover < 0:
         raise InfeasibleAllocationError("fractions sum above one")
@@ -547,10 +565,11 @@ def largest_remainder_targets(fractions: Sequence[float], total: int) -> list:
         raise InfeasibleAllocationError(
             f"fractions sum below one: {leftover} coins left over for {len(base)} positions"
         )
-    # a stable sort, so equal remainders keep the earlier position first
-    remainders = [x - b for x, b in zip(exact, base)]
-    for idx in sorted(range(len(exact)), key=remainders.__getitem__, reverse=True)[:leftover]:
-        base[idx] += 1
+    if leftover:
+        # a stable sort, so equal remainders keep the earlier position first
+        remainders = list(map(sub, exact, base))
+        for idx in sorted(range(len(exact)), key=remainders.__getitem__, reverse=True)[:leftover]:
+            base[idx] += 1
     return base
 
 

@@ -26,7 +26,7 @@ from .accounting import History, HistoryStep
 from .economy import (
     ExchangeRateMatrix,
     coin_exchange_rates,
-    demand,
+    demand_columns,
     dyadic_integers,
     largest_remainder_targets,
     mrs_matrix,
@@ -866,6 +866,8 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
 
     strategy = regime.strategy if isinstance(regime, JointEgalitarian) else None
     is_myopic = isinstance(strategy, Myopic)
+    # only these strategies read the balance map of a plan miss
+    reads_balances = isinstance(strategy, (Defensive, Egocentric))
     # coins for each joiner: the birth grant, or under any other regime the join grant
     grant = regime.coins if isinstance(regime, EqualBirthGrant) else config.join_grant
     single = regime.community if isinstance(regime, EgalitarianSingle) else None
@@ -879,6 +881,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     raw_pre = config.preferences_initial
     t_fix = config.t_fix if raw_pre is not None else 0
     track_sums = endogenous and k >= 2
+    settles = config.settlement and endogenous
     reads_weights = track_sums or (strategy is not None and not is_myopic)
     membership_epoch = 0
     epoch = None
@@ -942,6 +945,11 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                 unvalued = [
                     i for i in currencies if not any(row[i - 1] for row in scaled.values())
                 ]
+            if settles:
+                # per currency, each agent's column into held (the trailing
+                # zero column for a key never indexed) and its weight
+                settle_cols = history.key_columns(agents)
+                settle_weights = list(zip(*map(weight_rows.__getitem__, agents)))
 
         start_len = {i: len(coins) for i, coins in holder.items()}
         moved_old: dict = {}
@@ -958,7 +966,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             # this step's (agent, currency) pairs, one per coin
             mints = [(agent, single) for agent in member_tuple[single]] if single else []
             if strategy is not None:
-                balances = dict(zip(keys, held))
+                balances = dict(zip(keys, held)) if reads_balances else NO_ENTRIES
                 for agent, mine in memberships.items():
                     choice = choose_mint_currency(
                         strategy, agent, mine, balances,
@@ -1014,22 +1022,18 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             rates = coin_exchange_rates(mrs, counts_now, ranking)
             myopic_choice = {}
             rates_log.append(RatesEvent(t, mrs, rates.ex))
-            if config.settlement and endogenous:
+            if settles:
                 settled = True
-                balances = dict(zip(keys, held))
                 # have[col][n]: the coins of currency col + 1 that agents[n] holds
-                have = [[balances.get((a, i), 0) for a in agents] for i in currencies]
-                allocation = demand(
-                    [[n / c for n, c in zip(row, counts_now)] for row in zip(*have)],
-                    [weight_rows[a] for a in agents],
-                    prices,
-                )
-                for col, i in enumerate(currencies):
-                    targets = largest_remainder_targets(
-                        [row[col] for row in allocation], counts_now[col]
-                    )
+                padded = held + [0]
+                have = [list(map(padded.__getitem__, cols)) for cols in settle_cols]
+                shares = demand_columns(have, counts_now, settle_weights, prices)
+                for i, mine, share, coins in zip(currencies, have, shares, counts_now):
+                    targets = largest_remainder_targets(share, coins)
+                    if targets == mine:
+                        continue  # nothing to move: no scan of the holders
                     for serial, donor, recipient in settlement_moves(
-                        agents, have[col], targets, holder[i]
+                        agents, mine, targets, holder[i]
                     ):
                         move(i, serial, donor, recipient)
 

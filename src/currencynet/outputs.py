@@ -79,18 +79,23 @@ def write_metrics_csv(history: History, path) -> None:
     doubled for the template. A step's arguments are picked, in row
     order, from its balance, income, revenue, expenses and cashflow lists
     (each over the columns of :meth:`History.cashflow_steps`) and its t.
+    A key the history never indexed reads 0 at every step, so its row
+    holds the five zeros as text and takes only t.
     """
     width = len(history.keys) + 1  # the key index and its trailing column
-    arguments = itemgetter(
-        *[
-            p
-            for c in _metric_positions(history)
-            for p in (5 * width, c, width + c, 2 * width + c, 3 * width + c, 4 * width + c)
-        ]
-    )
+    absent = width - 1
+    positions = _metric_positions(history)
+    picks = []
+    for c in positions:
+        picks.append(5 * width)
+        if c != absent:
+            picks += (c, width + c, 2 * width + c, 3 * width + c, 4 * width + c)
+    arguments = itemgetter(*picks)  # every agent has an indexed key, so picks has several
     template = "".join(
-        f"%d,{_csv_field(agent).replace('%', '%%')},{i},%d,%d,%d,%d,%d\r\n"
-        for agent, i in _metric_keys(history)
+        f"%d,{_csv_field(agent).replace('%', '%%')},{i},"
+        + ("0,0,0,0,0" if c == absent else "%d,%d,%d,%d,%d")
+        + "\r\n"
+        for (agent, i), c in zip(_metric_keys(history), positions)
     )
     with open(path, "w", newline="") as handle:
         handle.write(",".join(METRICS_COLUMNS) + "\r\n")
@@ -201,8 +206,7 @@ def justice_summary(result: RunResult) -> dict:
 
 def write_justice_json(result: RunResult, path) -> None:
     with open(path, "w") as handle:
-        json.dump(justice_summary(result), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(json.dumps(justice_summary(result), indent=2, sort_keys=True) + "\n")
 
 
 def write_manifest(config: ScenarioConfig, path, files) -> None:
@@ -218,8 +222,7 @@ def write_manifest(config: ScenarioConfig, path, files) -> None:
         "files": sorted(files),
     }
     with open(path, "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def write_bundle(result: RunResult, outdir, fmt: str = "csv") -> list:

@@ -334,7 +334,7 @@ def test_usage_error_exit_code():
 def test_shipped_scenario_files_match_builders():
     from pathlib import Path
 
-    from currencynet.engine import ScenarioConfig, load_scenario, validate_config
+    from currencynet.engine import load_scenario, validate_config
 
     root = Path(__file__).resolve().parent.parent / "scenarios"
     assert sorted(path.stem for path in root.glob("*.json")) == sorted(scenarios.CANNED)

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 import hypothesis.strategies as st
 
 from currencynet.economy import (
@@ -12,6 +12,8 @@ from currencynet.economy import (
     _dot,
     _elimination_prices,
     coin_exchange_rates,
+    demand,
+    demand_columns,
     diluted_balances,
     fractional_equity,
     largest_remainder_targets,
@@ -641,6 +643,61 @@ class TestLargestRemainderRule:
                 largest_remainder_targets(fractions, total)
         else:
             assert largest_remainder_targets(fractions, total) == expected
+
+
+@st.composite
+def parted_fractions(draw):
+    """Fractions p / sum(parts) of small integer parts, so equal parts tie exactly."""
+    parts = draw(st.lists(st.integers(0, 4), min_size=1, max_size=8).filter(any))
+    return [p / sum(parts) for p in parts]
+
+
+class TestLargestRemainderProperties:
+    @given(st.one_of(parted_fractions(), tying_fractions()), st.integers(0, 64))
+    @example([1 / 3] * 3, 7)  # three tied remainders, one coin over
+    def test_exact_total_within_one_and_ties_to_the_earlier(self, fractions, total):
+        exact = [f * total for f in fractions]
+        base = [math.floor(x) for x in exact]
+        assume(sum(base) <= total <= sum(base) + len(base))
+        targets = largest_remainder_targets(fractions, total)
+        assert sum(targets) == total
+        assert all(0 <= n - b <= 1 and abs(n - x) <= 1 for n, b, x in zip(targets, base, exact))
+        extra = [n - b for n, b in zip(targets, base)]
+        remainders = [x - b for x, b in zip(exact, base)]
+        for j in range(len(fractions)):
+            for i in range(j):
+                if remainders[i] == remainders[j]:
+                    assert extra[i] >= extra[j]
+
+
+@st.composite
+def column_economies(draw):
+    """Coin counts, weights and prices of k currencies and n agents, in columns.
+
+    Agents may hold no coins and weights may be zero; every currency has a coin.
+    """
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    holdings = [draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)) for _ in range(k)]
+    counts = [sum(column) or 1 for column in holdings]
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    weights = [draw(st.lists(weight, min_size=n, max_size=n)) for _ in range(k)]
+    prices = draw(st.lists(st.floats(1e-6, 1.0), min_size=k, max_size=k))
+    return holdings, counts, weights, prices
+
+
+class TestDemandColumns:
+    @given(column_economies())
+    @example(([[0, 3], [0, 1]], [3, 1], [[0.0, 0.5], [0.0, 0.5]], [0.3, 0.7]))
+    @example(([[0, 0]], [1], [[0.0, 1.0]], [1.0]))
+    def test_equals_the_transposed_rows_bit_for_bit(self, economy):
+        holdings, counts, weights, prices = economy
+        endowment = [[n / c for n, c in zip(row, counts)] for row in zip(*holdings)]
+        rows = demand(endowment, list(zip(*weights)), prices)
+        columns = demand_columns(holdings, counts, weights, prices)
+        assert [list(map(float.hex, column)) for column in columns] == [
+            list(map(float.hex, column)) for column in zip(*rows)
+        ]
 
 
 class TestPreferenceProfile:

@@ -1,6 +1,5 @@
 import gc
 import importlib.util
-import math
 import sys
 import tracemalloc
 from pathlib import Path
@@ -440,6 +439,32 @@ class TestSettlement:
         settled = run_scenario(self.endo_config(True)).justice_series()
         for agent, values in plain.items():
             assert abs(values[-1] - settled[agent][-1]) < 0.05
+
+    def test_a_step_already_at_its_targets_moves_nothing(self, monkeypatch):
+        # two agents with the same uniform weights and the same coins mint
+        # alike, so the equilibrium gives each half of every currency: each
+        # settled step's targets equal the holdings, and no currency is scanned
+        scans = []
+        monkeypatch.setattr(engine, "settlement_moves", lambda *args: scans.append(args) or [])
+        config = ScenarioConfig(
+            name="balanced",
+            communities=(
+                CommunityConfig(1, ("a", "b"), {"a": 2, "b": 2}),
+                CommunityConfig(2, ("a", "b"), {"a": 2, "b": 2}),
+            ),
+            steps=12,
+            seed=2,
+            regime="joint_myopic",
+            rates=RatesConfig(mode="endogenous"),
+            settlement=True,
+        )
+        settled = run_scenario(config)
+        plain = run_scenario(config._replace(settlement=False))
+        assert [event.t for event in settled.solver_log] == list(range(1, 13))
+        assert scans == []
+        for step, twin in zip(settled.history.steps, plain.history.steps):
+            assert step.revenue_cols == step.expenses_cols == ()
+            assert step.row == twin.row
 
 
 class TestBracketing:

@@ -1,7 +1,6 @@
 import csv
 import math
 
-import numpy as np
 import pytest
 
 from currencynet import scenarios

@@ -395,6 +395,35 @@ def check_odd_names_round_trip(tmp_path, odd, quoted):
         ) == reference
 
 
+def test_metrics_csv_matches_csv_writer_with_partial_memberships(tmp_path):
+    # a and f belong to one currency, b to e to two, and g joins currency 3
+    # alone: of the 7 x 3 keys, 10 are never indexed and write five literal zeros
+    config = settled_triple(steps=12)._replace(joins={5: (("g", 3),)})
+    history = run_scenario(config).history
+    assert len(history.keys) == 11
+    outputs.write_metrics_csv(history, tmp_path / "metrics.csv")
+    # the per-key history API, one call per field, is the reference; the
+    # flows start at step 1, and step 0 writes them as zeros
+    flows = (history.income, history.revenue, history.expenses)
+    expected = csv_writer_text(
+        outputs.METRICS_COLUMNS,
+        [
+            (
+                t,
+                agent,
+                i,
+                history.balance(t, agent, i),
+                *(flow(t, agent, i) if t else 0 for flow in flows),
+                history.cumulative_cashflow(t, agent, i),
+            )
+            for t in range(13)
+            for agent in "abcdefg"
+            for i in (1, 2, 3)
+        ],
+    )
+    assert (tmp_path / "metrics.csv").read_bytes() == expected.encode()
+
+
 @pytest.fixture
 def counted_series_steps(monkeypatch):
     """Counts the per-step justice computations a run makes."""
