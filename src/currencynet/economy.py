@@ -556,7 +556,7 @@ def largest_remainder_targets(fractions: Sequence[float], total: int) -> list:
     more coins are left over than there are positions, raise
     :class:`InfeasibleAllocationError`.
     """
-    exact = list(map(float(total).__mul__, map(float, fractions)))
+    exact = [float(f) * total for f in fractions]
     base = list(map(math.floor, exact))
     leftover = total - sum(base)
     if leftover < 0:

@@ -662,12 +662,16 @@ class TestLargestRemainderProperties:
         targets = largest_remainder_targets(fractions, total)
         assert sum(targets) == total
         assert all(0 <= n - b <= 1 and abs(n - x) <= 1 for n, b, x in zip(targets, base, exact))
+        # a coin left over goes to a larger remainder first, and between
+        # equal remainders to the earlier position
         extra = [n - b for n, b in zip(targets, base)]
         remainders = [x - b for x, b in zip(exact, base)]
         for j in range(len(fractions)):
             for i in range(j):
-                if remainders[i] == remainders[j]:
+                if remainders[i] >= remainders[j]:
                     assert extra[i] >= extra[j]
+                else:
+                    assert extra[i] <= extra[j]
 
 
 @st.composite
