@@ -8,9 +8,10 @@ MRS by the coin-volume ratio gives per-coin exchange rates.
 
 The equilibrium prices are the stationary vector of the column-stochastic
 M = W^T E (weights W, endowment fractions E), found by one linear solve;
-they are determinate exactly when M is irreducible. Which coin is worth most
-is decided exactly, from integer market sums (see
-:func:`ranking_from_market_sums`), so mint choices never hang on rounding.
+they are determinate exactly when M is irreducible. The engine's rates come
+from exact integer coin values (see :func:`coin_values_from_market_sums`
+and :meth:`ExchangeRateMatrix.from_values`), so which coin is worth most
+never hangs on rounding.
 
 Matrices are nested tuples or lists of Python floats. The economies have a
 handful of currencies, so every k x k computation here is cheap in plain
@@ -70,9 +71,9 @@ class ExchangeRateMatrix:
     reciprocal pairs within RATE_TOL. Immutable; equal only to itself.
 
     ``ranking`` lists the currencies from the most to the least valuable
-    coin, equal values in index order. It is decided exactly when the
-    matrix comes from :func:`coin_exchange_rates` with a ranking, and read
-    off the rates in column 1 otherwise.
+    coin, equal values in index order. It is the exact order of the values
+    when the matrix comes from :meth:`from_values`, and read off the rates
+    in column 1 otherwise.
     """
 
     __slots__ = ("ex", "ranking")
@@ -135,8 +136,28 @@ class ExchangeRateMatrix:
         return [row[j - 1] for row in self.ex]
 
     @classmethod
+    def from_values(cls, values) -> "ExchangeRateMatrix":
+        """ex[i][j] = values[i] / values[j], from positive integers proportional to coin values.
+
+        Each rate is one correctly rounded division of two integers, so the
+        matrix is arbitrage-free by construction and skips the O(k^3) check;
+        ``ranking`` is the exact order of ``values``.
+        """
+        values = tuple(values)
+        if not all(isinstance(v, int) and v > 0 for v in values):
+            raise InvalidRatesError(f"coin values must be positive integers, got {values}")
+        try:
+            ex = tuple([tuple([v / w for w in values]) for v in values])
+        except OverflowError:
+            raise InvalidRatesError("coin values too far apart for float rates") from None
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "ex", ex)
+        object.__setattr__(matrix, "ranking", _ranking(values))
+        return matrix
+
+    @classmethod
     def ones(cls, k: int) -> "ExchangeRateMatrix":
-        return cls(((1.0,) * k,) * k)
+        return cls.from_values((1,) * k)
 
 
 class _PreferenceFields(NamedTuple):
@@ -417,8 +438,8 @@ def _ranking(values) -> tuple:
     return tuple(sorted(range(1, len(values) + 1), key=lambda i: (-values[i - 1], i)))
 
 
-def ranking_from_market_sums(sums: list) -> tuple:
-    """Currencies from the most to the least valuable coin, decided exactly.
+def coin_values_from_market_sums(sums: list) -> list:
+    """Integers proportional to the value of one coin of each currency, exactly.
 
     ``sums[j][i]`` is the integer S_ij = sum_a W_ai * balance(a, j), with the
     weights scaled by one common denominator D, so that the market matrix
@@ -426,42 +447,39 @@ def ranking_from_market_sums(sums: list) -> tuple:
     theorem the price p_r is proportional to c_r T_r / prod(c), where T_r is
     the S-weight of the spanning trees directed into r: the minor at (r, r)
     of the Laplacian L_ij = -S_ij, L_jj = sum_{i != j} S_ij. So one coin's
-    value p_r / c_r orders like the integer T_r; for k = 2, T = (S_12, S_21).
-    Equal values go to the lower index.
+    value p_r / c_r is proportional to T_r, and T is returned; for k = 2,
+    T = (S_12, S_21).
     """
     k = len(sums)
     if k == 2:
-        return (2, 1) if sums[0][1] > sums[1][0] else (1, 2)
+        return [sums[1][0], sums[0][1]]
     if k == 3:  # the three trees into each root, spelled out
         (_, s21, s31), (s12, _, s32), (s13, s23, _) = sums
-        trees = [
+        return [
             s12 * s13 + s12 * s23 + s32 * s13,
             s21 * s23 + s21 * s13 + s31 * s23,
             s31 * s32 + s31 * s12 + s21 * s32,
         ]
-    else:
-        laplacian = [[-sums[j][i] for j in range(k)] for i in range(k)]
-        for j in range(k):
-            laplacian[j][j] = sum(sums[j]) - sums[j][j]
-        trees = [
-            _integer_determinant(
-                [row[:r] + row[r + 1:] for row in laplacian[:r] + laplacian[r + 1:]]
-            )
-            for r in range(k)
-        ]
-    return _ranking(trees)
+    laplacian = [[-sums[j][i] for j in range(k)] for i in range(k)]
+    for j in range(k):
+        laplacian[j][j] = sum(sums[j]) - sums[j][j]
+    return [
+        _integer_determinant([row[:r] + row[r + 1:] for row in laplacian[:r] + laplacian[r + 1:]])
+        for r in range(k)
+    ]
 
 
-def ranking_from_mrs(mrs, coin_counts: Sequence[int]) -> tuple:
-    """Currencies from the most to the least valuable coin under a given MRS, exactly.
+def coin_values_from_mrs(mrs, coin_counts: Sequence[int]) -> list:
+    """Integers proportional to the value of one coin of each currency under a given MRS.
 
-    The first row gives mrs[0][i] = p_1 / p_i, so one coin of currency i is
-    worth p_i / c_i, proportional to 1 / (mrs[0][i] c_i): the smallest
-    product wins, and equal values go to the lower index. For k = 2 and
-    mrs[0][1] = m, currency 2 wins exactly when c_1 > m c_2.
+    The first row gives mrs[0][i] = p_1 / p_i = n_i / D for dyadic
+    numerators n_i, so one coin of currency i is worth p_i / c_i, in
+    proportion 1 / w_i with w_i = n_i c_i. The values are prod(w) / w_i.
     """
     numerators, _ = dyadic_integers(mrs[0])
-    return _ranking([-n * c for n, c in zip(numerators, coin_counts)])
+    weights = [n * c for n, c in zip(numerators, coin_counts)]
+    product = math.prod(weights)
+    return [product // w for w in weights]
 
 
 def mrs_matrix(prices: Sequence[float]) -> tuple:
@@ -472,52 +490,30 @@ def mrs_matrix(prices: Sequence[float]) -> tuple:
     return tuple([tuple([pi / pj for pj in p]) for pi in p])
 
 
-def coin_exchange_rates(
-    mrs, coin_counts: Sequence[int], ranking: Optional[Sequence[int]] = None
-) -> ExchangeRateMatrix:
+def coin_exchange_rates(mrs, coin_counts: Sequence[int]) -> ExchangeRateMatrix:
     """Per-coin rates: the currency-level MRS normalized by coin volumes.
 
     ex[i][j] = mrs[i][j] / (|C_i| / |C_j|), computed so that a volume ratio
-    exactly equal to the MRS yields a rate of exactly 1.
-
-    Without ``ranking`` the result passes the full ExchangeRateMatrix
-    validation. With one (currencies from the most to the least valuable
-    coin, as :func:`ranking_from_market_sums` or :func:`ranking_from_mrs`
-    decide it) the caller vouches that ``mrs`` holds ratios of positive
-    prices, arbitrage-free up to rounding: its rows are then read as given,
-    without a float copy, the rates are only checked to be finite and
-    positive, and the ranking is attached to the matrix.
+    exactly equal to the MRS yields a rate of exactly 1. The result passes
+    the full ExchangeRateMatrix validation, so this is the constructor for
+    rates from outside a run; a run builds its own with
+    :meth:`ExchangeRateMatrix.from_values`.
     """
     counts = list(coin_counts)
     k = len(counts)
     try:
-        if ranking is None:
-            mrs = _float_rows(mrs)
-        square = len(mrs) == k and all([len(row) == k for row in mrs])
+        mrs = _float_rows(mrs)
     except TypeError:
-        square = False
-    if not square:
+        mrs = None
+    if mrs is None or len(mrs) != k or not all([len(row) == k for row in mrs]):
         raise InvalidRatesError("MRS matrix shape does not match coin counts")
     if any([c <= 0 for c in counts]):
         raise ZeroCoinsError(f"coin counts must be positive, got {counts}")
-    ex = []
-    for i, c_i in enumerate(counts):
-        row = mrs[i]
-        if row[i] != 1.0:
-            raise InvalidRatesError("MRS diagonal must be 1")
-        ex.append(tuple([m_ij / (c_i / c_j) for m_ij, c_j in zip(row, counts)]))
-    ex = tuple(ex)
-    if ranking is None:
-        return ExchangeRateMatrix(ex)
-    ranking = tuple(ranking)
-    if sorted(ranking) != list(range(1, k + 1)):
-        raise InvalidRatesError(f"ranking {ranking} is not an order of currencies 1..{k}")
-    if not all(0.0 < x < math.inf for row in ex for x in row):
-        raise InvalidRatesError("rates must be finite and positive")
-    matrix = object.__new__(ExchangeRateMatrix)
-    object.__setattr__(matrix, "ex", ex)
-    object.__setattr__(matrix, "ranking", ranking)
-    return matrix
+    if any([row[i] != 1.0 for i, row in enumerate(mrs)]):
+        raise InvalidRatesError("MRS diagonal must be 1")
+    return ExchangeRateMatrix(
+        [[m_ij / (c_i / c_j) for m_ij, c_j in zip(row, counts)] for row, c_i in zip(mrs, counts)]
+    )
 
 
 def fractional_equity(network: CurrencyNetwork, ex: ExchangeRateMatrix, v: str) -> float:

@@ -26,13 +26,13 @@ from .accounting import History, HistoryStep
 from .economy import (
     ExchangeRateMatrix,
     coin_exchange_rates,
+    coin_values_from_market_sums,
+    coin_values_from_mrs,
     demand_columns,
     dyadic_integers,
     largest_remainder_targets,
     mrs_matrix,
     ordered_sum,
-    ranking_from_market_sums,
-    ranking_from_mrs,
     settlement_moves,
     strongly_connected,
 )
@@ -677,11 +677,13 @@ class RunResult:
 
     @property
     def a_over_t(self) -> Optional[list]:
-        """For k = 2, the fraction of steps 1..t with ex12 >= 1, index t - 1."""
-        ex12 = self.ex12
-        if ex12 is None:
+        """For k = 2, the fraction of steps 1..t whose in-force rates rank
+        currency 1's coin first (the myopic rule's exact order, not the
+        float test ex12 >= 1), index t - 1."""
+        if self.config.k != 2:
             return None
-        return [a / t for t, a in enumerate(accumulate(rate >= 1.0 for rate in ex12), 1)]
+        first = (rates.ranking[0] == 1 for rates in self.rates_timeline[1:])
+        return [a / t for t, a in enumerate(accumulate(first), 1)]
 
     @property
     def final_network(self) -> Optional[CurrencyNetwork]:
@@ -903,9 +905,8 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     snapshot_interval = config.snapshot_interval
 
     def move(i, serial, payer, payee):
-        # start_len and moved_old are the current step's
-        if serial < start_len[i]:
-            moved_old.setdefault((i, serial), payer)
+        # moved is the current step's: each moved coin's holder before its first move
+        moved.setdefault((i, serial), payer)
         holder[i][serial] = payee
         held[key_column[(payer, i)]] -= 1
         held[key_column[(payee, i)]] += 1
@@ -952,8 +953,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                 settle_weights = list(zip(*map(weight_rows.__getitem__, agents)))
 
         start_len = {i: len(coins) for i, coins in holder.items()}
-        moved_old: dict = {}
-        settled = False
+        moved: dict = {}
 
         # -- minting: one plan per step; a cached plan is kept per choice vector
         grants = [key for key in sorted(config.joins.get(t, ())) for _ in range(grant)]
@@ -1010,7 +1010,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                 except CurrencyNetError as exc:
                     raise type(exc)(f"step {t}: {exc}") from None
                 mrs = mrs_matrix(prices)
-                ranking = ranking_from_market_sums(sums)
+                values = coin_values_from_market_sums(sums)
                 solver_log.append(SolverEvent(t, 1, residual, prices))
             else:
                 if exo_matrix is None:
@@ -1018,12 +1018,11 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                     mrs = ((1.0, m), (1.0 / m, 1.0))
                 else:
                     mrs = exo_matrix
-                ranking = ranking_from_mrs(mrs, counts_now)
-            rates = coin_exchange_rates(mrs, counts_now, ranking)
+                values = coin_values_from_mrs(mrs, counts_now)
+            rates = ExchangeRateMatrix.from_values(values)
             myopic_choice = {}
             rates_log.append(RatesEvent(t, mrs, rates.ex))
             if settles:
-                settled = True
                 # have[col][n]: the coins of currency col + 1 that agents[n] holds
                 padded = held + [0]
                 have = [list(map(padded.__getitem__, cols)) for cols in settle_cols]
@@ -1038,24 +1037,22 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                         move(i, serial, donor, recipient)
 
         # -- record: each flow as key columns, one per coin ----------------
-        if settled:
-            # settlement may move fresh coins: income follows the holder
-            income = [
-                key_column[(agent, i)]
-                for i in currencies
-                for agent in holder[i][start_len[i]:]
-            ]
-        else:
-            # noise trades touch only pre-step coins, so every fresh coin
-            # still sits with its minter
-            income = minted
         revenue = []
         expenses = []
-        for (i, serial), origin in moved_old.items():
+        fresh_moved = False
+        for (i, serial), origin in moved.items():
             final = holder[i][serial]
             if final != origin:
-                expenses.append(key_column[(origin, i)])
-                revenue.append(key_column[(final, i)])
+                if serial < start_len[i]:
+                    expenses.append(key_column[(origin, i)])
+                    revenue.append(key_column[(final, i)])
+                else:
+                    fresh_moved = True
+        # fresh coins are income to their holders: their minters, unless
+        # settlement moved one
+        income = [
+            key_column[(agent, i)] for i in currencies for agent in holder[i][start_len[i]:]
+        ] if fresh_moved else minted
 
         retain = (snapshot_interval > 0 and t % snapshot_interval == 0) or (
             t == config.steps and config.final_snapshot

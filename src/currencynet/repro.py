@@ -12,7 +12,7 @@ from typing import NamedTuple
 from .economy import coin_exchange_rates, mrs_matrix, ordered_sum, solve_equilibrium
 from .engine import run_scenario
 from .errors import UnknownSuiteError
-from .justice import convergence_report
+from .justice import convergence_report, predicted_mint_fraction
 from .identity import OwnershipMap, sybil_locality_report
 from . import scenarios
 
@@ -25,7 +25,7 @@ class Check(NamedTuple):
     status: str  # PASS | FAIL | SKIP
 
     def format_row(self) -> str:
-        return f"[{self.status:4}] {self.suite:8} {self.name:38} value={self.value:.6g} require {self.bound}"
+        return f"[{self.status:4}] {self.suite:8} {self.name:41} value={self.value:.6g} require {self.bound}"
 
 
 def _check(suite, name, value, ok, bound) -> Check:
@@ -63,17 +63,22 @@ def suite_thm1(steps=10_000, endo_steps=20_000) -> list:
         _check("thm1", "exogenous: max |share - 1/4|", worst, worst < 1e-2, "< 1e-2")
     )
 
-    endo = run_scenario(scenarios.pair_convergence_endogenous(steps=endo_steps))
+    config = scenarios.pair_convergence_endogenous(steps=endo_steps)
+    endo = run_scenario(config)
     mrs = [value for _, value in endo.mrs12_series()]
     mrs_est = convergence_report(mrs)
     stabilized = mrs_est.max_deviation < 0.02
     ex_endo = convergence_report(endo.ex12)
     if stabilized:
-        checks.append(
-            _check("thm1", "endogenous: |ex12 trailing mean - 1|",
-                   abs(ex_endo.trailing_mean - 1.0),
-                   abs(ex_endo.trailing_mean - 1.0) < 0.02, "< 0.02")
-        )
+        # the scenario's predicted point: mrs12 -> (1 + 2*0.6) / (3 - 2*0.6) = 11/9
+        x = predicted_mint_fraction(*(cc.members for cc in config.communities), 11 / 9)
+        for name, gap, bound in (
+            ("|ex12 trailing mean - 1|", abs(ex_endo.trailing_mean - 1.0), 0.02),
+            ("|mrs12 trailing mean - 11/9|", abs(mrs_est.trailing_mean - 11 / 9), 1e-3),
+            ("|a_t/t trailing mean - x|",
+             abs(convergence_report(endo.a_over_t).trailing_mean - x), 0.01),
+        ):
+            checks.append(_check("thm1", f"endogenous: {name}", gap, gap < bound, f"< {bound:g}"))
     else:
         checks.append(
             Check("thm1", "endogenous: measured substitution rate did not stabilize "

@@ -12,6 +12,8 @@ from currencynet.economy import (
     _dot,
     _elimination_prices,
     coin_exchange_rates,
+    coin_values_from_market_sums,
+    coin_values_from_mrs,
     demand,
     demand_columns,
     diluted_balances,
@@ -19,7 +21,6 @@ from currencynet.economy import (
     largest_remainder_targets,
     market_equilibrium,
     mrs_matrix,
-    ranking_from_market_sums,
     settle_trades,
     settlement_moves,
     solve_equilibrium,
@@ -307,43 +308,58 @@ class TestTwoCurrencyClosedForm:
         assert type(residual) is float and all(type(p) is float for p in prices)
 
 
+def assert_close_rates(ex, expected, tol=1e-12):
+    for row, expected_row in zip(ex, expected):
+        for x, y in zip(row, expected_row):
+            assert abs(x - y) <= tol * y
+
+
 class TestRankedRates:
+    """``ExchangeRateMatrix.from_values``: the one rule a run builds its rates by."""
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_ranked_rates_equal_the_validated_rates(self, k):
-        # engine-shaped inputs: integer market sums, the solved prices, the exact ranking
+        # engine-shaped inputs: integer market sums and the solved prices; the
+        # exact coin values give the validated float rates up to rounding
         rng = random.Random(k)
         for _ in range(500):
             sums, counts, market = engine_shaped_sums(rng, k)
             prices, _ = market_equilibrium(market)
-            mrs = mrs_matrix(prices)
-            ranked = coin_exchange_rates(mrs, counts, ranking_from_market_sums(sums))
-            unranked = coin_exchange_rates(mrs, counts)
-            assert ranked.ex == unranked.ex
-            assert ranked.ranking == ranking_from_market_sums(sums)
+            ranked = ExchangeRateMatrix.from_values(coin_values_from_market_sums(sums))
+            assert_close_rates(ranked.ex, coin_exchange_rates(mrs_matrix(prices), counts).ex)
 
-    def test_ranked_rows_are_read_as_given(self):
-        mrs = ((1.0, 2.0), (0.5, 1.0))
-        ranked = coin_exchange_rates(mrs, [200, 100], (1, 2))
-        assert ranked.ex == ((1.0, 1.0), (1.0, 1.0))
-        assert all(type(x) is float for row in ranked.ex for x in row)
+    def test_mrs_values_equal_the_validated_rates(self):
+        rng = random.Random(5)
+        for _ in range(500):
+            k = rng.randint(1, 5)
+            mrs = mrs_matrix([rng.random() + 0.01 for _ in range(k)])
+            counts = [rng.randint(1, 1000) for _ in range(k)]
+            ranked = ExchangeRateMatrix.from_values(coin_values_from_mrs(mrs, counts))
+            assert_close_rates(ranked.ex, coin_exchange_rates(mrs, counts).ex)
 
-    @pytest.mark.parametrize(
-        "mrs, counts, ranking, error",
-        [
-            (((1.0, 2.0), (0.5, 2.0)), [1, 1], (1, 2), InvalidRatesError),  # diagonal
-            (((1.0, math.inf), (0.0, 1.0)), [1, 1], (1, 2), InvalidRatesError),
-            (((1.0, math.nan), (math.nan, 1.0)), [1, 1], (2, 1), InvalidRatesError),
-            (((1.0, 2.0), (0.5, 1.0)), [1, 1], (1, 1), InvalidRatesError),  # ranking
-            (((1.0, 2.0), (0.5, 1.0)), [1, 1], (1, 2, 3), InvalidRatesError),
-            (((1.0, 2.0),), [1, 1], (1, 2), InvalidRatesError),  # shape
-            (((1.0, 2.0), (0.5,)), [1, 1], (1, 2), InvalidRatesError),
-            (None, [1, 1], (1, 2), InvalidRatesError),
-            (((1.0, 2.0), (0.5, 1.0)), [1, 0], (1, 2), ZeroCoinsError),
-        ],
+    @given(
+        st.lists(st.integers(1, 6) | st.integers(1, 2**200), min_size=1, max_size=5),
+        st.integers(-3, 0),
+        st.data(),
     )
-    def test_ranked_inputs_still_checked(self, mrs, counts, ranking, error):
-        with pytest.raises(error):
-            coin_exchange_rates(mrs, counts, ranking)
+    def test_values_make_a_ranked_arbitrage_free_matrix(self, values, bad, data):
+        matrix = ExchangeRateMatrix.from_values(values)
+        assert ExchangeRateMatrix(matrix.ex).ex == matrix.ex  # passes the full check
+        k = len(values)
+        assert all(matrix.ex[i][i] == 1.0 for i in range(k))
+        assert matrix.ranking == tuple(sorted(range(1, k + 1), key=lambda i: (-values[i - 1], i)))
+        for i in range(k):
+            for j in range(k):
+                if values[i] >= values[j]:
+                    assert matrix.ex[i][j] >= 1.0
+        spot = data.draw(st.integers(0, k - 1))
+        with pytest.raises(InvalidRatesError):
+            ExchangeRateMatrix.from_values(values[:spot] + [bad] + values[spot + 1:])
+
+    @pytest.mark.parametrize("values", [(1, 2.0), (1, None), (1, 2**1100)])
+    def test_values_that_make_no_float_rates_rejected(self, values):
+        with pytest.raises(InvalidRatesError):
+            ExchangeRateMatrix.from_values(values)
 
 
 class TestStronglyConnected:
@@ -396,6 +412,22 @@ class TestCoinExchangeRates:
     def test_zero_coins_rejected(self):
         with pytest.raises(ZeroCoinsError):
             coin_exchange_rates(np.ones((2, 2)), [100, 0])
+
+    @pytest.mark.parametrize(
+        "mrs, counts, error",
+        [
+            (((1.0, 2.0), (0.5, 2.0)), [1, 1], InvalidRatesError),  # diagonal
+            (((1.0, math.inf), (0.0, 1.0)), [1, 1], InvalidRatesError),
+            (((1.0, math.nan), (math.nan, 1.0)), [1, 1], InvalidRatesError),
+            (((1.0, 2.0),), [1, 1], InvalidRatesError),  # shape
+            (((1.0, 2.0), (0.5,)), [1, 1], InvalidRatesError),
+            (None, [1, 1], InvalidRatesError),
+            (((1.0, 2.0), (0.5, 1.0)), [1, 0], ZeroCoinsError),
+        ],
+    )
+    def test_bad_inputs_rejected(self, mrs, counts, error):
+        with pytest.raises(error):
+            coin_exchange_rates(mrs, counts)
 
     def test_perfect_balance_is_exactly_one(self):
         # volume ratios exactly equal to the substitution rates

@@ -476,6 +476,23 @@ class TestBracketing:
         for t in range(300, 3000):
             assert deviations[t] <= deviations[t - 1] + 2.0 / t
 
+    def test_a_over_t_counts_the_steps_that_rank_currency_1_first(self):
+        # the exact order the myopic choice follows, not ex12 >= 1.0
+        result = run_scenario(scenarios.pair_convergence_endogenous(steps=400))
+        firsts = [rates.ranking[0] == 1 for rates in result.rates_timeline[1:]]
+        assert result.a_over_t == [sum(firsts[:t]) / t for t in range(1, len(firsts) + 1)]
+
+
+@pytest.mark.parametrize("name", ["endo_pair", "exo_wide", "settle_tri"])
+def test_a_run_builds_every_matrix_from_coin_values(monkeypatch, name):
+    # the O(k^3) check of ExchangeRateMatrix(ex) is for matrices from outside
+    def refuse(self, ex):
+        raise AssertionError("a run built a rate matrix through the full check")
+
+    monkeypatch.setattr(economy.ExchangeRateMatrix, "__init__", refuse)
+    result = run_scenario(workloads.build(name, 1))
+    assert result.rates_log and len(result.rates_timeline) == result.config.steps + 1
+
 
 class TestValidateConfig:
     def test_clean_config(self):

@@ -20,10 +20,10 @@ from currencynet import scenarios
 from currencynet.economy import (
     ExchangeRateMatrix,
     coin_exchange_rates,
+    coin_values_from_market_sums,
+    coin_values_from_mrs,
     market_equilibrium,
     mrs_matrix,
-    ranking_from_market_sums,
-    ranking_from_mrs,
     solve_equilibrium,
 )
 from currencynet.engine import (
@@ -33,7 +33,6 @@ from currencynet.engine import (
     _mask_weights,
     run_scenario,
 )
-from currencynet.errors import InvalidRatesError
 from currencynet.minting import most_valued_coin
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -123,9 +122,11 @@ def test_three_currency_near_tie_decided_exactly():
     ]
     values = [p / c for p, c in zip(exact_prices(exact_market), counts)]
     assert values[0] == values[2] == Fraction(1, 9)
-    assert ranking_from_market_sums(sums) == exact_order(values) == (1, 3, 2)
+    trees = coin_values_from_market_sums(sums)
+    assert [Fraction(tree, trees[0]) for tree in trees] == [v / values[0] for v in values]
 
-    ranked = coin_exchange_rates(mrs_matrix(prices), counts, ranking_from_market_sums(sums))
+    ranked = ExchangeRateMatrix.from_values(trees)
+    assert ranked.ranking == exact_order(values) == (1, 3, 2)
     unranked = coin_exchange_rates(mrs_matrix(prices), counts)
     assert most_valued_coin(ranked, [1, 3]) == 1
     assert most_valued_coin(ranked, [2, 3]) == 3
@@ -161,7 +162,10 @@ def test_market_ranking_matches_a_rational_solve(case):
         assume(False)
     assume(all(p > 0 for p in prices))
     values = [p / c for p, c in zip(prices, counts)]
-    assert ranking_from_market_sums(scaled) == exact_order(values)
+    # the spanning-tree integers are the exact coin values, up to one factor
+    trees = coin_values_from_market_sums(scaled)
+    assert [Fraction(tree, trees[0]) for tree in trees] == [v / values[0] for v in values]
+    assert ExchangeRateMatrix.from_values(trees).ranking == exact_order(values)
 
 
 def test_exogenous_pair_rule_is_exact():
@@ -170,17 +174,24 @@ def test_exogenous_pair_rule_is_exact():
     m = 0.3
     mrs = ((1.0, m), (1.0 / m, 1.0))
     assert m * 10 == 3.0 and Fraction(m) * 10 < 3
-    assert ranking_from_mrs(mrs, [3, 10]) == (2, 1)
+    values = coin_values_from_mrs(mrs, [3, 10])
+    # one coin of 1 is worth m * 10 / 3 coins of 2, exactly
+    assert Fraction(values[0], values[1]) == Fraction(m) * 10 / 3
+    rates = ExchangeRateMatrix.from_values(values)
+    # the rates round to 1.0; the ranking keeps the exact order
+    assert rates.ex == ((1.0, 1.0), (1.0, 1.0))
+    assert rates.ranking == (2, 1)
+    assert most_valued_coin(rates, [1, 2]) == 2
+    # the validated float rates tie too, and a tie goes to currency 1
     assert most_valued_coin(coin_exchange_rates(mrs, [3, 10]), [1, 2]) == 1
-    assert ranking_from_mrs(((1.0, 1.5), (1.0 / 1.5, 1.0)), [3, 2]) == (1, 2)
-    assert ranking_from_mrs(((1.0, 1.5), (1.0 / 1.5, 1.0)), [4, 2]) == (2, 1)
+    assert exact_order(coin_values_from_mrs(((1.0, 1.5), (1.0 / 1.5, 1.0)), [3, 2])) == (1, 2)
+    assert exact_order(coin_values_from_mrs(((1.0, 1.5), (1.0 / 1.5, 1.0)), [4, 2])) == (2, 1)
 
 
-def test_ranked_rates_reject_a_bad_ranking():
-    with pytest.raises(InvalidRatesError):
-        coin_exchange_rates(((1.0, 1.0), (1.0, 1.0)), [1, 1], (1, 1))
-    # without an exact ranking the matrix ranks its column-1 rates, ties to the lower index
+def test_validated_rates_rank_their_first_column():
+    # a matrix built from outside ranks its column-1 rates, ties to the lower index
     assert coin_exchange_rates(((1.0, 1.0), (1.0, 1.0)), [1, 1]).ranking == (1, 2)
+    assert coin_exchange_rates(((1.0, 0.5), (2.0, 1.0)), [1, 1]).ranking == (2, 1)
     assert ExchangeRateMatrix.ones(3).ranking == (1, 2, 3)
 
 

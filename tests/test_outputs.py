@@ -22,11 +22,11 @@ from test_justice import settled_triple
 # records the Python version
 GOLDEN_EXOGENOUS = {
     "metrics.csv": "f819fe3bd9b6f0840c2f926ffebf3e50cb27796a0de1969551710b62919e454e",
-    "justice.csv": "939e02c69e7df7084606d5a0862eb0ce15373f6b3d0711e85c6a723f2dec3d16",
-    "rates.csv": "af9a9b743d3ff4e881c5db2069c4a2eb80e14a7f076cbff3b0c4441cbfa963f5",
-    "justice.json": "0d80b04b796e9276e04616e1403aa75a28582bff3a7013dfcf4c8b2edb1550c7",
+    "justice.csv": "2a7024d301595b318e9819e38d5d02e66aa0f1703cd7d480b966aa0f4e7e6dcc",
+    "rates.csv": "e0cb6ec30b188d275a7a0fb00de6e627e0f571d52c31452bf92747bdc9c2353b",
+    "justice.json": "940d9077fa33500e03518e935d9d00f3976d9495ff2397751c69fd72704e1b1a",
 }
-GOLDEN_ENDOGENOUS_RATES = "b43163600d89b46fb3590d02870f451ecd6cebc52be7e3a79827ac800fae6bb8"
+GOLDEN_ENDOGENOUS_RATES = "0478772ea2c8ffd56eef40dac463be2677855256e7a9e7a82e1de89a9690880b"
 # the residual max|Mp - p| is a rounding error of order 1e-16 whose last bits
 # depend on the order of the floating-point sums, so it is bounded instead
 GOLDEN_SOLVER_WITHOUT_RESIDUAL = (
@@ -36,10 +36,10 @@ GOLDEN_SOLVER_WITHOUT_RESIDUAL = (
 # pins which coins the settlement donors hand over
 GOLDEN_SETTLED_TRIPLE = {
     "metrics.csv": "e2e39932151f7ee650890442007087c0c147dc855940bde9e809f918a5f8d4b6",
-    "justice.csv": "16c670d1f81bb2ba2749c2b172a873b827fc02ebf53cdf377039e1ad8b0bb2fa",
-    "rates.csv": "95fa13ecbe9538287aa27558a1d3f5cfebfe54f820ea1d8359a5667f83074646",
+    "justice.csv": "77ebe796caa3511c1188b0cfbe1ec5e0f18a255bccfc246b0878e516b4655d3c",
+    "rates.csv": "60e1343c856574658cfe68e1374b5119389c0a7f2527ab21d173e11e42821d6d",
     "solver.csv": "d374056f6f30e5c5508ab355985ee3f499cb9f6610de7ba047870963af1cf2f0",
-    "justice.json": "3477d37bb867223ac88de956af1b7c5986f3510f0c3d3cf0072ab12d77a63247",
+    "justice.json": "e1bd54467b27b725c3c93bfc453e58ec72458fddcc2980066fa127ac7593dac1",
 }
 # the bundle of single_community_dilution(steps=300): the single-community
 # regime, three joins and trade noise
@@ -52,16 +52,16 @@ GOLDEN_SINGLE = {
 # repeats a value, so the writer shares texts (826 distinct in 2107 rows)
 GOLDEN_SYBIL = {
     "metrics.csv": "82e9d60ffcc802598bb850d6f828aec04f7f0842ba4a815e3729736193a3aa83",
-    "justice.csv": "67f13024fb36cfac5064e1f123be980df295894501328f079bf557136a298902",
-    "rates.csv": "a3896ffc4280b986d19d9c22b781114ae4af054c01629bc86e0f160adba1b869",
-    "justice.json": "7b02fd512bc41e34d1f53d283005a6bd27ee772492ff54ff0935f7961eff8390",
+    "justice.csv": "52b89560076bea92b19d00142102a7298cb64d893982dcd4f0e77f1ad7724a7c",
+    "rates.csv": "230b9f74657a3eee8a7699d8f701632d8cb8d32e77611ef333f1ed0221fa43d3",
+    "justice.json": "b923955965b2a1a04bebde809608c9fc13bc9fe4e6cf8c74f763acc6bcdaafa0",
 }
 # the bundle of permuted_index(): the history's key index holds the founders'
 # keys, then ("a", 2), ("m", 2) and ("a", 1) as they join, so it is no longer
 # in the sorted order the writers list keys in
 GOLDEN_PERMUTED_INDEX = {
     "metrics.csv": "28df2790000afaed1189fc59ca1bc0f1bd0151f18dc44768200a5f7a2a05af63",
-    "justice.csv": "d3e2730e8f2514c58c3364242cb480264c34723876fa9e1115ce829e03c97eb4",
+    "justice.csv": "93a31f42e92ceb95b6eeda2f5d04fabc0d03a7015e4481c001433acc94c076c1",
     "justice.json": "cf52f7fffb742baf26271915e78312881be1c578a91613f7838d4171e912fc68",
 }
 
@@ -70,12 +70,12 @@ GOLDEN_PERMUTED_INDEX = {
 # GOLDEN_EXOGENOUS's order: the mint strategies and grants the runs above
 # leave out
 GOLDEN_STRATEGIES = {
-    "joint_defensive": "9dd26342d91f26031f7ef653fccd33cc7bc22195ec14e4a998b11f0e3648702b",
-    "joint_random": "f1831991d1916a48a546b076d157cf1f79e555ee53e295aba788f44b0c107101",
-    "joint_egocentric": "b3536c484766cc58059b2146fa4604a3d24f9e8d568798c55ad2993eda2c3362",
-    "joint_fixed:1": "a03ea432d283f93bdb7d6ed0f8e3c2747cc298ec9c825f22f26fc2f92e09efc2",
-    "join_grant": "6866e421e97ff9bbdd048099f3c9a0380058bb4a1d5dda72daa80d9d4ff43b39",
-    "equal_birth_grant": "c053913db7b56ec4abeae70f59e2c24c8595448385daf1d750882a6fe5745209",
+    "joint_defensive": "7e02d59a069525d965cb0861472b6664d401b75744b15ee18d0373a995d8654d",
+    "joint_random": "536d5c23a6252ad59ebd2bc464297a64e269c446b89be91b8fbb56deb9adcc91",
+    "joint_egocentric": "d103419cf8291955b1b14cd20d0162250ce9cf66a0d3101f734cd097ed4dd816",
+    "joint_fixed:1": "21b9842f4d4176cd18c33e562c197792c805460a778aeef7fb8178f51c605da1",
+    "join_grant": "527e028ceb334fcee8d734ba52a8723ca7a117af3a8f4da8073aeff14b54fe9e",
+    "equal_birth_grant": "1ceb53eca592ede16adf39eb5fdb2629a9b19e3f1de9d3896440e44633d97460",
 }
 
 
