@@ -187,7 +187,7 @@ def main(argv=None) -> int:
         zip(agents, steps), REPEATS
     ):
         print(
-            f"| {n} × {t} | {seconds:.3f} s | {per_agent_step:.2f} | {bundle:.3f} s "
+            f"| {n} × {t} | {seconds:.3g} s | {per_agent_step:.2f} | {bundle:.3g} s "
             f"| {retained:.2f} MB | {peak:.2f} MB | {rss:.2f} MB |"
         )
     return 0

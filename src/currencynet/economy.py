@@ -144,15 +144,26 @@ class ExchangeRateMatrix:
         ``ranking`` is the exact order of ``values``.
         """
         values = tuple(values)
-        if not all(isinstance(v, int) and v > 0 for v in values):
-            raise InvalidRatesError(f"coin values must be positive integers, got {values}")
-        try:
-            ex = tuple([tuple([v / w for w in values]) for v in values])
-        except OverflowError:
-            raise InvalidRatesError("coin values too far apart for float rates") from None
+        if len(values) == 2:  # the k = 2 case of the general rule, spelled out
+            a, b = values
+            if not (isinstance(a, int) and a > 0 and isinstance(b, int) and b > 0):
+                raise InvalidRatesError(f"coin values must be positive integers, got {values}")
+            try:
+                ex = ((1.0, a / b), (b / a, 1.0))  # v / v is exactly 1.0
+            except OverflowError:
+                raise InvalidRatesError("coin values too far apart for float rates") from None
+            ranking = (1, 2) if a >= b else (2, 1)
+        else:
+            if not all(isinstance(v, int) and v > 0 for v in values):
+                raise InvalidRatesError(f"coin values must be positive integers, got {values}")
+            try:
+                ex = tuple([tuple([v / w for w in values]) for v in values])
+            except OverflowError:
+                raise InvalidRatesError("coin values too far apart for float rates") from None
+            ranking = _ranking(values)
         matrix = object.__new__(cls)
         object.__setattr__(matrix, "ex", ex)
-        object.__setattr__(matrix, "ranking", _ranking(values))
+        object.__setattr__(matrix, "ranking", ranking)
         return matrix
 
     @classmethod
@@ -301,16 +312,21 @@ def market_equilibrium(market: list, patterns: Optional[dict] = None) -> tuple:
     and the elimination does exactly these float operations.
     """
     k = len(market)
-    for j in range(k):
-        total = 0.0
-        for row in market:
-            total += row[j]
-        if not abs(total - 1.0) <= 1e-6:  # a NaN total fails too
-            raise ValueError(f"market matrix column {j + 1} sums to {total}, not 1")
-    if k == 2:
+    if k == 2:  # the column loop below, spelled out: the same reads and additions in order
+        row1, row2 = market
+        for j in (0, 1):
+            total = 0.0 + row1[j] + row2[j]
+            if not abs(total - 1.0) <= 1e-6:  # a NaN total fails too
+                raise ValueError(f"market matrix column {j + 1} sums to {total}, not 1")
         (m11, m12), (m21, m22) = market
         connected = m12 > 0.0 and m21 > 0.0
     else:
+        for j in range(k):
+            total = 0.0
+            for row in market:
+                total += row[j]
+            if not abs(total - 1.0) <= 1e-6:  # a NaN total fails too
+                raise ValueError(f"market matrix column {j + 1} sums to {total}, not 1")
         if patterns is None:
             patterns = {}
         pattern = tuple([tuple([m > 0.0 for m in row]) for row in market])
@@ -485,6 +501,11 @@ def coin_values_from_mrs(mrs, coin_counts: Sequence[int]) -> list:
 def mrs_matrix(prices: Sequence[float]) -> tuple:
     """Marginal rates of substitution between currencies: mrs[i][j] = p_i / p_j."""
     p = [float(x) for x in prices]
+    if len(p) == 2:  # the k = 2 case, spelled out
+        p1, p2 = p
+        if not (0.0 < p1 < math.inf and 0.0 < p2 < math.inf):
+            raise NonPositivePriceError(f"prices must be positive, got {p}")
+        return ((1.0, p1 / p2), (p2 / p1, 1.0))
     if not all(0.0 < x < math.inf for x in p):
         raise NonPositivePriceError(f"prices must be positive, got {p}")
     return tuple([tuple([pi / pj for pj in p]) for pi in p])

@@ -224,17 +224,19 @@ class ScenarioConfig(NamedTuple):
             communities = tuple(
                 CommunityConfig(
                     index=int(entry["index"]),
-                    members=tuple(entry["members"]),
+                    members=_agent_names(entry["members"], f"communities[{n}].members"),
                     initial_coins={
-                        str(agent): int(n)
-                        for agent, n in entry.get("initial_coins", {}).items()
+                        str(agent): int(coins)
+                        for agent, coins in _mapping(
+                            entry.get("initial_coins", {}), f"communities[{n}].initial_coins"
+                        ).items()
                     },
                 )
-                for entry in data["communities"]
+                for n, entry in enumerate(data["communities"])
             )
             joins = {
                 int(step): tuple((str(agent), int(cur)) for agent, cur in entries)
-                for step, entries in data.get("joins", {}).items()
+                for step, entries in _mapping(data.get("joins", {}), "joins").items()
             }
             prefs = data.get("preferences")
             prefs_initial = data.get("preferences_initial")
@@ -248,12 +250,14 @@ class ScenarioConfig(NamedTuple):
                 community=int(data["community"]) if "community" in data else None,
                 joins=joins,
                 join_grant=int(data.get("join_grant", 0)),
-                rates=RatesConfig.from_dict(data.get("rates", {})),
+                rates=RatesConfig.from_dict(_mapping(data.get("rates", {}), "rates")),
                 k_eq=int(data.get("k_eq", 1)),
                 settlement=bool(data.get("settlement", False)),
                 trade_noise=int(data.get("trade_noise", 0)),
-                preferences=_parse_weights(prefs) if prefs else None,
-                preferences_initial=_parse_weights(prefs_initial) if prefs_initial else None,
+                preferences=_parse_weights(prefs, "preferences") if prefs else None,
+                preferences_initial=(
+                    _parse_weights(prefs_initial, "preferences_initial") if prefs_initial else None
+                ),
                 t_fix=int(data.get("t_fix", 0)),
                 owners=tuple(
                     (str(p), str(a)) for p, a in data.get("owners", [])
@@ -303,10 +307,24 @@ class ScenarioConfig(NamedTuple):
         return out
 
 
-def _parse_weights(data: Mapping) -> dict:
+def _mapping(value, field: str) -> Mapping:
+    """``value`` if it is a JSON object; ConfigError naming ``field`` otherwise."""
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{field}: expected a mapping")
+    return value
+
+
+def _agent_names(value, field: str) -> tuple:
+    """The agents of a JSON list; a string would otherwise pass as its characters."""
+    if isinstance(value, (str, Mapping)):
+        raise ConfigError(f"{field}: expected a list of agent names")
+    return tuple(value)
+
+
+def _parse_weights(data, field: str) -> dict:
     return {
-        str(agent): {int(cur): float(w) for cur, w in row.items()}
-        for agent, row in data.items()
+        str(agent): {int(cur): float(w) for cur, w in _mapping(row, f"{field}.{agent}").items()}
+        for agent, row in _mapping(data, field).items()
     }
 
 

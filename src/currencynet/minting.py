@@ -121,7 +121,9 @@ def most_valued_coin(rates: ExchangeRateMatrix, memberships: Iterable) -> int:
         raise InvalidRatesError(
             f"membership {candidates} outside the {rates.k}-currency rate matrix"
         )
-    return next(i for i in rates.ranking if i in candidates)
+    for i in rates.ranking:
+        if i in candidates:
+            return i
 
 
 def egocentric_choice(

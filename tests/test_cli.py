@@ -303,6 +303,37 @@ def test_check_reports_bad_values_as_errors(tmp_path, capsys, edit, code, text):
     assert any(line.startswith(f"error: [{code}]") and text in line for line in errors), errors
 
 
+@pytest.mark.parametrize(
+    "edit, text",
+    [
+        pytest.param(updated(joins=[]), "joins: expected a mapping", id="joins_list"),
+        pytest.param(updated(rates=[]), "rates: expected a mapping", id="rates_list"),
+        pytest.param(
+            with_community(0, initial_coins=[["a", 1]]),
+            "communities[0].initial_coins: expected a mapping",
+            id="initial_coins_list",
+        ),
+        pytest.param(
+            with_regime("joint_egocentric", preferences={"a": [0.5, 0.5]}),
+            "preferences.a: expected a mapping",
+            id="preferences_row_list",
+        ),
+        pytest.param(
+            with_community(1, members="abc"),
+            "communities[1].members: expected a list of agent names",
+            id="members_string",
+        ),
+    ],
+)
+def test_check_rejects_malformed_fields(tmp_path, capsys, edit, text):
+    data = scenarios.pair_convergence_exogenous(steps=100).to_dict()
+    edit(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["check", "--scenario", str(path)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {text}\n"
+
+
 def test_check_missing_file():
     assert cli.main(["check", "--scenario", "does-not-exist.json"]) == cli.EXIT_USAGE
 

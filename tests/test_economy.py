@@ -197,7 +197,7 @@ def general_path(market):
         total = 0.0
         for row in market:
             total += row[j]
-        if abs(total - 1.0) > 1e-6:
+        if not abs(total - 1.0) <= 1e-6:  # a NaN total fails too
             raise ValueError(f"market matrix column {j + 1} sums to {total}, not 1")
     if not strongly_connected([[m > 0.0 for m in row] for row in market]):
         raise DegenerateEconomyError("prices are indeterminate: the economy is reducible")
@@ -295,11 +295,28 @@ class TestTwoCurrencyClosedForm:
             (pair_market(0.5, 1e-300), DegenerateEconomyError, "priced at zero .*: \\[2\\]"),
             ([[0.5, 0.5], [0.6, 0.5]], ValueError, "column 1 sums to 1.1, not 1"),
             ([[0.5, 0.5], [0.5, 0.4]], ValueError, "column 2 sums to 0.9, not 1"),
+            ([[0.5, 0.5], [0.5 + 2**-18, 0.5]], ValueError, "column 1 sums to 1.0000038146"),
+            ([[0.5, 0.5], [0.5, 0.5 - 2**-18]], ValueError, "column 2 sums to 0.9999961853"),
+            ([[0.5, math.nan], [0.5, 0.5]], ValueError, "column 2 sums to nan, not 1"),
+            ([[math.inf, 0.5], [-math.inf, 0.5]], ValueError, "column 1 sums to nan, not 1"),
+            ([[0.5, math.inf], [0.5, 0.5]], ValueError, "column 2 sums to inf, not 1"),
         ],
     )
     def test_ill_posed_markets_raise_as_the_general_path(self, market, error, message):
         with pytest.raises(error, match=message):
             market_equilibrium(market)
+        assert outcome(market_equilibrium, market) == outcome(general_path, market)
+
+    @given(
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.0, 5e-7, -5e-7, 1.5e-6, -1.5e-6, math.nan, math.inf]),
+        st.booleans(),
+    )
+    def test_column_check_is_the_loops(self, m12, m21, off, second):
+        # the k = 2 branch adds 0.0 + m_1j + m_2j, as the general loop does
+        market = pair_market(m12, m21)
+        market[1 if second else 0][1 if second else 0] += off
         assert outcome(market_equilibrium, market) == outcome(general_path, market)
 
     def test_prices_are_python_floats_in_a_tuple(self):
@@ -344,6 +361,7 @@ class TestRankedRates:
     )
     def test_values_make_a_ranked_arbitrage_free_matrix(self, values, bad, data):
         matrix = ExchangeRateMatrix.from_values(values)
+        assert matrix.ex == tuple(tuple(v / w for w in values) for v in values)
         assert ExchangeRateMatrix(matrix.ex).ex == matrix.ex  # passes the full check
         k = len(values)
         assert all(matrix.ex[i][i] == 1.0 for i in range(k))
@@ -394,6 +412,27 @@ class TestMrsMatrix:
     def test_nonpositive_prices_rejected(self):
         with pytest.raises(NonPositivePriceError):
             mrs_matrix([0.5, 0.0])
+
+    @given(
+        st.lists(
+            st.floats(0.0, exclude_min=True, allow_infinity=False) | st.integers(1, 10**6),
+            min_size=1,
+            max_size=5,
+        ),
+        st.sampled_from([0.0, -0.0, -1.5, -math.inf, math.inf, math.nan]),
+        st.integers(0, 4),
+    )
+    @example([0.5, 0.25], math.inf, 1)
+    @example([0.5, 0.25], math.nan, 0)
+    def test_ratios_are_the_general_formula(self, prices, bad, spot):
+        p = [float(x) for x in prices]
+        expected = tuple(tuple(pi / pj for pj in p) for pi in p)
+        mrs = mrs_matrix(prices)
+        assert [[x.hex() for x in row] for row in mrs] == [[x.hex() for x in row] for row in expected]
+        prices[spot % len(prices)] = bad
+        with pytest.raises(NonPositivePriceError) as caught:
+            mrs_matrix(prices)
+        assert str(caught.value) == f"prices must be positive, got {[float(x) for x in prices]}"
 
 
 class TestCoinExchangeRates:

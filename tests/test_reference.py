@@ -73,8 +73,8 @@ def weight_rows(draw, memberships):
 
 
 @st.composite
-def configs(draw):
-    k = draw(st.integers(1, 3))
+def configs(draw, currencies=(1, 3)):
+    k = draw(st.integers(*currencies))
     regime = draw(st.sampled_from(REGIMES))
     endogenous = k >= 2 and draw(st.booleans())
     members = [
@@ -299,3 +299,11 @@ def test_reference_layer_replays_every_engine_step(config):
         for field in ("minted_cols", "income_cols", "revenue_cols", "expenses_cols"):
             assert sorted(getattr(replayed, field)) == sorted(getattr(steps[t], field)), (field, t)
     assert history.keys == result.history.keys
+
+
+@settings(max_examples=200)
+@given(configs(currencies=(4, 5)))
+def test_reference_layer_replays_engine_steps_at_four_and_five_currencies(config):
+    # the general rate code and the Bareiss branch of coin_values_from_market_sums
+    # run in a tested engine run only here: k = 2 and 3 are spelled out
+    test_reference_layer_replays_every_engine_step.hypothesis.inner_test(config)
