@@ -7,11 +7,12 @@ marginal rates of substitution (MRS) between currencies, and dividing the
 MRS by the coin-volume ratio gives per-coin exchange rates.
 
 The equilibrium prices are the stationary vector of the column-stochastic
-M = W^T E (weights W, endowment fractions E), found by one linear solve;
-they are determinate exactly when M is irreducible. The engine's rates come
-from exact integer coin values (see :func:`coin_values_from_market_sums`
-and :meth:`ExchangeRateMatrix.from_values`), so which coin is worth most
-never hangs on rounding.
+M = W^T E (weights W, endowment fractions E); they are determinate exactly
+when M is irreducible. For k >= 3 they are read off exact integers, the
+spanning-tree weights of :func:`coin_values_from_market_sums`, and for
+k = 2 they are a float closed form. The engine's rates come from the same
+integer coin values (see :meth:`ExchangeRateMatrix.from_values`), so which
+coin is worth most never hangs on rounding.
 
 Matrices are nested tuples or lists of Python floats. The economies have a
 handful of currencies, so every k x k computation here is cheap in plain
@@ -253,63 +254,29 @@ def strongly_connected(links) -> bool:
     return k == 0 or (reaches_all(rows) and reaches_all(list(zip(*rows))))
 
 
-def _elimination_prices(market) -> list:
-    """p with (M - I) p = 0 and sum(p) = 1, by Gaussian elimination with partial pivoting.
-
-    The last equation is replaced by sum(p) = 1. Raises
-    DegenerateEconomyError when a pivot is exactly zero.
-    """
-    k = len(market)
-    # the diagonal of M - I is minus each column's off-diagonal mass, which
-    # equals M_ii - 1 for a column-stochastic M but avoids its cancellation
-    system = [list(row) for row in market]
-    for j in range(k):
-        mass = 0.0
-        for i in range(k):
-            if i != j:
-                mass += market[i][j]
-        system[j][j] = -mass
-    system[-1] = [1.0] * k
-    rhs = [0.0] * (k - 1) + [1.0]
-    for col in range(k):
-        pivot = max(range(col, k), key=lambda row: abs(system[row][col]))
-        if system[pivot][col] == 0.0:
-            raise DegenerateEconomyError("prices are indeterminate: the system is singular")
-        if pivot != col:
-            system[col], system[pivot] = system[pivot], system[col]
-            rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        top = system[col]
-        for row in range(col + 1, k):
-            lower = system[row]
-            factor = lower[col] / top[col]
-            for j in range(col + 1, k):
-                lower[j] -= factor * top[j]
-            rhs[row] -= factor * rhs[col]
-    x = [0.0] * k
-    for row in range(k - 1, -1, -1):
-        coeffs = system[row]
-        acc = rhs[row]
-        for j in range(row + 1, k):
-            acc -= coeffs[j] * x[j]
-        x[row] = acc / coeffs[row]
-    return x
-
-
-def market_equilibrium(market: list, patterns: Optional[dict] = None) -> tuple:
+def market_equilibrium(market: list, price_weights: Optional[Sequence[int]] = None) -> tuple:
     """(prices, residual) of the economy with market matrix ``market``.
 
     ``market`` is M = W^T E as k row lists of Python floats, read but not
-    copied; its columns must sum to one. The prices are one solve of
-    (M - I) p = 0 with a row replaced by sum(p) = 1, normalized to sum 1;
-    the residual is max |M p - p|. Raises DegenerateEconomyError when M is
-    reducible or a price comes out zero. A caller that solves many times
-    can pass the same dict as ``patterns``: it memoizes the reducibility
-    check per positivity pattern of M (for k = 2 the check is M_12 > 0 and
-    M_21 > 0, with no memo).
+    copied; its columns must sum to one. The residual is max |M p - p|.
+    Raises DegenerateEconomyError when M is reducible or a price comes out
+    zero.
 
-    For k = 2 with M_21 < 1 the solve is p_2 = M_21 / (M_12 + M_21),
-    p_1 = 1 - p_2: partial pivoting then takes the sum(p) = 1 row first,
-    and the elimination does exactly these float operations.
+    For k != 2 the prices are p_r = w_r / sum(w), one correctly rounded
+    division of two integers each. By the Markov chain tree theorem the
+    integers w_r = c_r T_r, the tree integers T of
+    :func:`coin_values_from_market_sums` times the coin counts c, are
+    proportional to the stationary vector of M; a caller that has them
+    passes them as ``price_weights``, and otherwise they are read off M
+    itself, as integers over one power of two (every c is then 1). M is
+    reducible exactly when some w_r is 0.
+
+    For k = 2 the prices stay in floats: M is reducible unless M_12 > 0 and
+    M_21 > 0, and the prices are the operations of Gaussian elimination with
+    partial pivoting on (M - I) p = 0, its last row replaced by sum(p) = 1.
+    With M_21 < 1 the pivot is the sum row, which gives
+    p_2 = M_21 / (M_12 + M_21), p_1 = 1 - p_2; at M_21 >= 1 the rows keep
+    their order.
     """
     k = len(market)
     if k == 2:  # the column loop below, spelled out: the same reads and additions in order
@@ -319,7 +286,16 @@ def market_equilibrium(market: list, patterns: Optional[dict] = None) -> tuple:
             if not abs(total - 1.0) <= 1e-6:  # a NaN total fails too
                 raise ValueError(f"market matrix column {j + 1} sums to {total}, not 1")
         (m11, m12), (m21, m22) = market
-        connected = m12 > 0.0 and m21 > 0.0
+        if not (m12 > 0.0 and m21 > 0.0):
+            raise DegenerateEconomyError("prices are indeterminate: the economy is reducible")
+        if m21 < 1.0:
+            p2 = m21 / (m12 + m21)
+            p1 = 1.0 - p2
+        else:  # the pivot tie (or M_21 > 1): no row swap
+            p2 = 1.0 / (1.0 - 1.0 / -m21 * m12)
+            p1 = (0.0 - m12 * p2) / -m21
+        prices = [p1, p2]
+        residual = max(abs(m11 * p1 + m12 * p2 - p1), abs(m21 * p1 + m22 * p2 - p2))
     else:
         for j in range(k):
             total = 0.0
@@ -327,21 +303,13 @@ def market_equilibrium(market: list, patterns: Optional[dict] = None) -> tuple:
                 total += row[j]
             if not abs(total - 1.0) <= 1e-6:  # a NaN total fails too
                 raise ValueError(f"market matrix column {j + 1} sums to {total}, not 1")
-        if patterns is None:
-            patterns = {}
-        pattern = tuple([tuple([m > 0.0 for m in row]) for row in market])
-        connected = patterns.get(pattern)
-        if connected is None:
-            connected = patterns[pattern] = strongly_connected(pattern)
-    if not connected:
-        raise DegenerateEconomyError("prices are indeterminate: the economy is reducible")
-    if k == 2 and m21 < 1.0:
-        p2 = m21 / (m12 + m21)
-        p1 = 1.0 - p2
-        prices = [p1, p2]
-        residual = max(abs(m11 * p1 + m12 * p2 - p1), abs(m21 * p1 + m22 * p2 - p2))
-    else:
-        prices = _elimination_prices(market)
+        if price_weights is None:
+            flat, _ = dyadic_integers([m for row in market for m in row])
+            price_weights = coin_values_from_market_sums([flat[j::k] for j in range(k)])
+        if not all(price_weights):
+            raise DegenerateEconomyError("prices are indeterminate: the economy is reducible")
+        total = sum(price_weights)
+        prices = [w / total for w in price_weights]
         residual = max([abs(_dot(row, prices) - p) for row, p in zip(market, prices)])
     if min(prices) <= 1e-12:
         dead = [i + 1 for i, p in enumerate(prices) if p <= 1e-12]
@@ -385,10 +353,11 @@ def solve_equilibrium(endowment, weights) -> EquilibriumResult:
     nested sequences or a 2-d array. Market clearing,
     p_i = sum_v weights[v][i] * (endowment[v] . p), reads p = M p with the
     column-stochastic M = weights^T endowment, solved by
-    :func:`market_equilibrium`. The prices are unique and positive exactly
-    when the graph of M > 0 is strongly connected; otherwise
-    DegenerateEconomyError is raised. The allocation is each agent's demand
-    at those prices.
+    :func:`market_equilibrium` (for k >= 3 from the tree integers of M's
+    entries as integers over one power of two). The prices are unique and
+    positive exactly when the graph of M > 0 is strongly connected;
+    otherwise DegenerateEconomyError is raised. The allocation is each
+    agent's demand at those prices.
     """
     endowment = _float_rows(endowment)
     weights = _float_rows(weights)

@@ -37,8 +37,8 @@ from .economy import (
     strongly_connected,
 )
 # the engine keeps the market sums itself, so it calls the solver core on
-# the market matrix; the public name stays, so wrappers of
-# engine.solve_equilibrium see every solve
+# the market matrix and, for k >= 3, the tree weights of those sums; the
+# public name stays, so wrappers of engine.solve_equilibrium see every solve
 from .economy import market_equilibrium as solve_equilibrium
 from .errors import ConfigError, CurrencyNetError, DegenerateEconomyError
 from .justice import (
@@ -133,7 +133,12 @@ class MrsSchedule(NamedTuple):
             )
         if kind == "table":
             # by step alone: points at one step keep their order, and the check reports them
-            points = sorted(((int(s), float(v)) for s, v in data["points"]), key=lambda p: p[0])
+            try:
+                points = sorted(((int(s), float(v)) for s, v in data["points"]), key=lambda p: p[0])
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    "rates.mrs12.points: expected a list of [step, value] pairs"
+                ) from None
             if not points:
                 raise ConfigError("table schedule needs at least one point")
             return cls(kind="table", points=tuple(points))
@@ -173,7 +178,7 @@ class RatesConfig(NamedTuple):
             matrix = data.get("mrs_matrix")
             return cls(
                 mode=mode,
-                mrs12=MrsSchedule.from_dict(mrs12) if mrs12 else None,
+                mrs12=MrsSchedule.from_dict(_mapping(mrs12, "rates.mrs12")) if mrs12 else None,
                 mrs_matrix=tuple(tuple(float(x) for x in row) for row in matrix)
                 if matrix
                 else None,
@@ -663,7 +668,7 @@ class RatesEvent(NamedTuple):
 
 class SolverEvent(NamedTuple):
     t: int
-    iterations: int       # always 1: the equilibrium is one linear solve
+    iterations: int       # always 1: the prices are computed directly, never iterated
     residual: float       # max |M p - p|
     prices: tuple
 
@@ -906,7 +911,6 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     membership_epoch = 0
     epoch = None
     weight_rows: Mapping = NO_ENTRIES
-    patterns: dict = {}  # the solver's reducibility check, per positivity pattern
 
     rates = ExchangeRateMatrix.ones(k)
     rates_timeline = [rates]
@@ -1023,12 +1027,19 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                     )
                 scale = [denominator * c for c in counts_now]
                 market = [[sums[j][x] / scale[j] for j in columns] for x in columns]
+                values = coin_values_from_market_sums(sums)
+                # for k >= 3 the prices are w_r / sum(w) with w_r = c_r T_r
+                price_weights = (
+                    None if k == 2 else [c * v for c, v in zip(counts_now, values)]
+                )
                 try:
-                    prices, residual = solve_equilibrium(market, patterns)
+                    prices, residual = solve_equilibrium(market, price_weights)
                 except CurrencyNetError as exc:
                     raise type(exc)(f"step {t}: {exc}") from None
-                mrs = mrs_matrix(prices)
-                values = coin_values_from_market_sums(sums)
+                if price_weights is None:
+                    mrs = mrs_matrix(prices)
+                else:  # mrs_ij = w_i / w_j, one division of two integers each
+                    mrs = tuple([tuple([w / x for x in price_weights]) for w in price_weights])
                 solver_log.append(SolverEvent(t, 1, residual, prices))
             else:
                 if exo_matrix is None:

@@ -3,6 +3,7 @@ from collections import Counter
 import hypothesis.strategies as st
 from hypothesis import settings
 
+from currencynet.errors import DegenerateEconomyError
 from currencynet.ledger import Coin, CurrencyCommunity, CurrencyNetwork
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -32,6 +33,50 @@ def make_network(spec):
 def tally(history, cols) -> Counter:
     """(agent, currency) -> how often ``cols``, a step's key columns, name that key."""
     return Counter(map(history.keys.__getitem__, cols))
+
+
+def elimination_prices(market) -> list:
+    """p with (M - I) p = 0 and sum(p) = 1, by Gaussian elimination with partial pivoting.
+
+    The float solve the economy's prices are held to: ``general_path``'s
+    oracle for k = 2, and the float route the exact ranking must overrule.
+    The last equation is replaced by sum(p) = 1. Raises
+    DegenerateEconomyError when a pivot is exactly zero.
+    """
+    k = len(market)
+    # the diagonal of M - I is minus each column's off-diagonal mass, which
+    # equals M_ii - 1 for a column-stochastic M but avoids its cancellation
+    system = [list(row) for row in market]
+    for j in range(k):
+        mass = 0.0
+        for i in range(k):
+            if i != j:
+                mass += market[i][j]
+        system[j][j] = -mass
+    system[-1] = [1.0] * k
+    rhs = [0.0] * (k - 1) + [1.0]
+    for col in range(k):
+        pivot = max(range(col, k), key=lambda row: abs(system[row][col]))
+        if system[pivot][col] == 0.0:
+            raise DegenerateEconomyError("prices are indeterminate: the system is singular")
+        if pivot != col:
+            system[col], system[pivot] = system[pivot], system[col]
+            rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
+        top = system[col]
+        for row in range(col + 1, k):
+            lower = system[row]
+            factor = lower[col] / top[col]
+            for j in range(col + 1, k):
+                lower[j] -= factor * top[j]
+            rhs[row] -= factor * rhs[col]
+    x = [0.0] * k
+    for row in range(k - 1, -1, -1):
+        coeffs = system[row]
+        acc = rhs[row]
+        for j in range(row + 1, k):
+            acc -= coeffs[j] * x[j]
+        x[row] = acc / coeffs[row]
+    return x
 
 
 AGENT_POOL = ["a", "b", "c", "d", "e", "f", "g"]

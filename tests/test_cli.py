@@ -323,6 +323,16 @@ def test_check_reports_bad_values_as_errors(tmp_path, capsys, edit, code, text):
             "communities[1].members: expected a list of agent names",
             id="members_string",
         ),
+        pytest.param(
+            updated(rates={"mode": "exogenous", "mrs12": [1]}),
+            "rates.mrs12: expected a mapping",
+            id="mrs12_list",
+        ),
+        pytest.param(
+            updated(rates={"mode": "exogenous", "mrs12": {"kind": "table", "points": [1, 2]}}),
+            "rates.mrs12.points: expected a list of [step, value] pairs",
+            id="table_points_not_pairs",
+        ),
     ],
 )
 def test_check_rejects_malformed_fields(tmp_path, capsys, edit, text):

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from currencynet.economy import (
     ExchangeRateMatrix,
     PreferenceProfile,
     _dot,
-    _elimination_prices,
     coin_exchange_rates,
     coin_values_from_market_sums,
     coin_values_from_mrs,
@@ -36,7 +36,7 @@ from currencynet.errors import (
 )
 from currencynet.ledger import Coin, network_from_dict
 
-from conftest import make_network
+from conftest import elimination_prices, make_network
 
 
 def two_agent_price_oracle(a1, b1, e_a, e_b):
@@ -191,7 +191,7 @@ class TestSolveEquilibrium:
 
 
 def general_path(market):
-    """What market_equilibrium does for k >= 3, applied to any k: the oracle for k = 2."""
+    """The float elimination for any k, with market_equilibrium's checks: the oracle for k = 2."""
     k = len(market)
     for j in range(k):
         total = 0.0
@@ -201,7 +201,7 @@ def general_path(market):
             raise ValueError(f"market matrix column {j + 1} sums to {total}, not 1")
     if not strongly_connected([[m > 0.0 for m in row] for row in market]):
         raise DegenerateEconomyError("prices are indeterminate: the economy is reducible")
-    prices = _elimination_prices(market)
+    prices = elimination_prices(market)
     residual = max(abs(_dot(row, prices) - p) for row, p in zip(market, prices))
     dead = [i + 1 for i, p in enumerate(prices) if p <= 1e-12]
     if dead:
@@ -323,6 +323,56 @@ class TestTwoCurrencyClosedForm:
         prices, residual = market_equilibrium(((0.75, 0.25), (0.25, 0.75)))
         assert prices == (0.5, 0.5)
         assert type(residual) is float and all(type(p) is float for p in prices)
+
+
+def sparse_sums(k):
+    """sums[j][i] = S_ij, about half of them zero, each column with a positive total."""
+    entry = st.just(0) | st.integers(1, 50)
+    return st.lists(
+        st.lists(entry, min_size=k, max_size=k).filter(any), min_size=k, max_size=k
+    )
+
+
+class TestTreeRule:
+    """For k >= 3 the prices are p_r = c_r T_r / sum(c T), T the spanning-tree integers."""
+
+    @given(st.integers(3, 5).flatmap(sparse_sums))
+    def test_tree_prices_on_sparse_markets(self, sums):
+        # with D = 1 each coin count is its column's total, so M_ij = S_ij / c_j
+        k = len(sums)
+        counts = [sum(column) for column in sums]
+        market = [[sums[j][i] / counts[j] for j in range(k)] for i in range(k)]
+        trees = coin_values_from_market_sums(sums)
+        weights = [c * t for c, t in zip(counts, trees)]
+        connected = strongly_connected([[sums[j][i] > 0 for j in range(k)] for i in range(k)])
+        assert all(trees) == connected
+        # the tree theorem in integers: what flows into each currency flows out
+        for i in range(k):
+            assert sum(sums[j][i] * trees[j] for j in range(k)) == trees[i] * counts[i]
+        if not connected:
+            for given_weights in (weights, None):
+                with pytest.raises(DegenerateEconomyError) as caught:
+                    market_equilibrium(market, given_weights)
+                assert str(caught.value) == "prices are indeterminate: the economy is reducible"
+            return
+        prices, residual = market_equilibrium(market, weights)
+        assert prices == tuple(float(Fraction(w, sum(weights))) for w in weights)
+        assert residual < 1e-15
+        # read off the float market itself, the prices agree to rounding
+        from_floats, _ = market_equilibrium(market)
+        assert max(abs(p - q) for p, q in zip(prices, from_floats)) < 1e-15
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_tree_prices_on_engine_shaped_markets(self, k):
+        rng = random.Random(k)
+        for _ in range(200):
+            sums, counts, market = engine_shaped_sums(rng, k)
+            weights = [c * t for c, t in zip(counts, coin_values_from_market_sums(sums))]
+            prices, residual = market_equilibrium(market, weights)
+            assert prices == tuple(float(Fraction(w, sum(weights))) for w in weights)
+            assert all(type(p) is float for p in prices)
+            assert residual < 1e-15
+            assert max(abs(p - q) for p, q in zip(prices, elimination_prices(market))) < 1e-14
 
 
 def assert_close_rates(ex, expected, tol=1e-12):

@@ -37,7 +37,7 @@ from currencynet.minting import most_valued_coin
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
-from conftest import tally  # noqa: E402
+from conftest import elimination_prices, tally  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -108,13 +108,13 @@ def test_endogenous_mints_follow_the_exact_ranking():
 
 
 def test_three_currency_near_tie_decided_exactly():
-    # exactly v1 = v3 = 1/9 > v2 = 1/18 per coin; in floats v3 comes out ahead
+    # exactly v1 = v3 = 1/9 > v2 = 1/18 per coin; the float elimination puts v3 ahead
     sums = [[10, 13, 9], [26, 14, 8], [9, 4, 3]]  # sums[j][i] = S_ij
     counts = [4, 6, 2]
     denominator = 8
     market = [[sums[j][i] / (denominator * counts[j]) for j in range(3)] for i in range(3)]
-    prices, _ = market_equilibrium(market)
-    float_values = [p / c for p, c in zip(prices, counts)]
+    float_prices = elimination_prices(market)
+    float_values = [p / c for p, c in zip(float_prices, counts)]
     assert exact_order(float_values)[0] == 3
 
     exact_market = [
@@ -124,10 +124,13 @@ def test_three_currency_near_tie_decided_exactly():
     assert values[0] == values[2] == Fraction(1, 9)
     trees = coin_values_from_market_sums(sums)
     assert [Fraction(tree, trees[0]) for tree in trees] == [v / values[0] for v in values]
+    # the engine's prices divide c_r T_r by their sum, so p1 = 2 p3 holds exactly
+    prices, _ = market_equilibrium(market, [c * tree for c, tree in zip(counts, trees)])
+    assert prices[0] == 2 * prices[2]
 
     ranked = ExchangeRateMatrix.from_values(trees)
     assert ranked.ranking == exact_order(values) == (1, 3, 2)
-    unranked = coin_exchange_rates(mrs_matrix(prices), counts)
+    unranked = coin_exchange_rates(mrs_matrix(float_prices), counts)
     assert most_valued_coin(ranked, [1, 3]) == 1
     assert most_valued_coin(ranked, [2, 3]) == 3
     assert most_valued_coin(unranked, [1, 3]) == 3

@@ -37,8 +37,8 @@ GOLDEN_SOLVER_WITHOUT_RESIDUAL = (
 GOLDEN_SETTLED_TRIPLE = {
     "metrics.csv": "e2e39932151f7ee650890442007087c0c147dc855940bde9e809f918a5f8d4b6",
     "justice.csv": "77ebe796caa3511c1188b0cfbe1ec5e0f18a255bccfc246b0878e516b4655d3c",
-    "rates.csv": "60e1343c856574658cfe68e1374b5119389c0a7f2527ab21d173e11e42821d6d",
-    "solver.csv": "d374056f6f30e5c5508ab355985ee3f499cb9f6610de7ba047870963af1cf2f0",
+    "rates.csv": "081e074b5097ddfbeb140f66edca5604ce13d61e1125cbf7a8999ab388a00e98",
+    "solver.csv": "7c0f5e73e4146e67a6c6fbace569c6bb17ec8606ababa943657e3d7d81af2f7f",
     "justice.json": "e1bd54467b27b725c3c93bfc453e58ec72458fddcc2980066fa127ac7593dac1",
 }
 # the bundle of single_community_dilution(steps=300): the single-community
