@@ -2,11 +2,13 @@ import csv
 import hashlib
 import io
 import json
+import random
 from types import SimpleNamespace
 
 import pytest
 
 from currencynet import engine, justice, outputs, scenarios
+from currencynet.economy import mrs_matrix
 from currencynet.engine import (
     CommunityConfig,
     MrsSchedule,
@@ -14,6 +16,8 @@ from currencynet.engine import (
     ScenarioConfig,
     run_scenario,
 )
+from currencynet.ledger import network_to_dict
+import test_engine
 from test_justice import settled_triple
 
 # sha256 of the bundle files of pair_convergence_exogenous(steps=40), and of
@@ -485,3 +489,67 @@ def test_justice_series_memo_is_per_history_length(counted_series_steps):
     # moves nothing, so its values repeat the last step's bits
     for agent, values in first.items():
         assert second[agent] == values + values[-1:]
+
+
+def noisy_joining_chain():
+    """Three chained communities under one exogenous mrs_matrix, with trade noise.
+
+    At mid-run a newcomer that sorts before every founder joins 2 and 3, and a
+    founder of 1 joins 3, so their keys enter the index after the founders'
+    and the join grant hands them coins that the noise can move at once.
+    """
+    rng = random.Random(3)
+    names = [f"c{n:02d}" for n in range(18)]
+    rng.shuffle(names)
+    members = (sorted(names[:8]), sorted(names[5:14]), sorted(names[11:]))
+    return ScenarioConfig(
+        name="noisy_joining_chain",
+        communities=tuple(
+            CommunityConfig(i + 1, tuple(who), {a: rng.randint(1, 3) for a in who})
+            for i, who in enumerate(members)
+        ),
+        steps=30,
+        seed=3,
+        regime="joint_myopic",
+        rates=RatesConfig(mode="exogenous", mrs_matrix=mrs_matrix([0.5, 0.3, 0.2])),
+        joins={15: (("a00", 2), ("a00", 3), (members[0][0], 3))},
+        join_grant=1,
+        trade_noise=8,
+        snapshot_interval=3,
+    )
+
+
+def snapshot_digest(result) -> str:
+    """sha256 over the network of every retained step, in step order."""
+    digest = hashlib.sha256()
+    for step in result.history.steps:
+        if step.holders is not None:
+            text = json.dumps(network_to_dict(step.network), sort_keys=True)
+            digest.update(f"{step.t}\n{text}\n".encode())
+    return digest.hexdigest()
+
+
+# the retained holder records are not part of a bundle: these pin them, for
+# a settle_tri-shaped settled k = 3 run and for noisy_joining_chain()
+GOLDEN_SNAPSHOTS = {
+    "settled_chain": "9f1f097ed2edf8b97826fc2fe5076f4cb850c37c0feddc2b60924009dffb2209",
+    "noisy_joining_chain": "dea458793d7290941bbffebf139da0638e32f31878f84390bf5f5deb0d54bf73",
+}
+
+
+def snapshot_configs() -> dict:
+    return {
+        "settled_chain": test_engine.TestSettlement.chained_triple(1, True)._replace(
+            snapshot_interval=5
+        ),
+        "noisy_joining_chain": noisy_joining_chain(),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SNAPSHOTS))
+def test_snapshot_records_match_golden_digests(name):
+    result = run_scenario(snapshot_configs()[name])
+    retained = [step.t for step in result.history.steps if step.holders is not None]
+    interval = result.config.snapshot_interval
+    assert retained == list(range(0, result.config.steps + 1, interval))
+    assert snapshot_digest(result) == GOLDEN_SNAPSHOTS[name]
