@@ -254,13 +254,22 @@ def strongly_connected(links) -> bool:
     return k == 0 or (reaches_all(rows) and reaches_all(list(zip(*rows))))
 
 
+def _refuse_negative(rows, what: str) -> None:
+    """Raise ValueError naming the first negative entry of ``rows``, row by row."""
+    for r, row in enumerate(rows, 1):
+        for j, x in enumerate(row, 1):
+            if x < 0:
+                raise ValueError(f"{what} entry ({r}, {j}) is negative: {x!r}")
+
+
 def market_equilibrium(market: list, price_weights: Optional[Sequence[int]] = None) -> tuple:
     """(prices, residual) of the economy with market matrix ``market``.
 
     ``market`` is M = W^T E as k row lists of Python floats, read but not
     copied; its columns must sum to one. The residual is max |M p - p|.
-    Raises DegenerateEconomyError when M is reducible or a price comes out
-    zero.
+    Raises ValueError naming a negative entry of M (at k >= 3 only when
+    ``price_weights`` is not given), and DegenerateEconomyError when M is
+    reducible or a price comes out zero.
 
     For k != 2 the prices are p_r = w_r / sum(w), one correctly rounded
     division of two integers each. By the Markov chain tree theorem the
@@ -286,7 +295,8 @@ def market_equilibrium(market: list, price_weights: Optional[Sequence[int]] = No
             if not abs(total - 1.0) <= 1e-6:  # a NaN total fails too
                 raise ValueError(f"market matrix column {j + 1} sums to {total}, not 1")
         (m11, m12), (m21, m22) = market
-        if not (m12 > 0.0 and m21 > 0.0):
+        if not (m12 > 0.0 and m21 > 0.0 and m11 >= 0.0 and m22 >= 0.0):
+            _refuse_negative(market, "market matrix")
             raise DegenerateEconomyError("prices are indeterminate: the economy is reducible")
         if m21 < 1.0:
             p2 = m21 / (m12 + m21)
@@ -304,6 +314,7 @@ def market_equilibrium(market: list, price_weights: Optional[Sequence[int]] = No
             if not abs(total - 1.0) <= 1e-6:  # a NaN total fails too
                 raise ValueError(f"market matrix column {j + 1} sums to {total}, not 1")
         if price_weights is None:
+            _refuse_negative(market, "market matrix")
             flat, _ = dyadic_integers([m for row in market for m in row])
             price_weights = coin_values_from_market_sums([flat[j::k] for j in range(k)])
         if not all(price_weights):
@@ -354,16 +365,19 @@ def solve_equilibrium(endowment, weights) -> EquilibriumResult:
     p_i = sum_v weights[v][i] * (endowment[v] . p), reads p = M p with the
     column-stochastic M = weights^T endowment, solved by
     :func:`market_equilibrium` (for k >= 3 from the tree integers of M's
-    entries as integers over one power of two). The prices are unique and
-    positive exactly when the graph of M > 0 is strongly connected;
-    otherwise DegenerateEconomyError is raised. The allocation is each
-    agent's demand at those prices.
+    entries as integers over one power of two). A negative endowment or
+    weight entry raises ValueError. The prices are unique and positive
+    exactly when the graph of M > 0 is strongly connected; otherwise
+    DegenerateEconomyError is raised. The allocation is each agent's
+    demand at those prices.
     """
     endowment = _float_rows(endowment)
     weights = _float_rows(weights)
     k = len(endowment[0]) if endowment else 0
     if len(weights) != len(endowment) or set(map(len, endowment + weights)) != {k} or not k:
         raise ValueError("endowment and weights must have matching shapes")
+    _refuse_negative(endowment, "endowment")
+    _refuse_negative(weights, "weights")
     column_sums = [sum(column) for column in zip(*endowment)]
     if not all(abs(total - 1.0) <= 1e-6 for total in column_sums):  # NaN fails
         raise ValueError(f"endowment columns must sum to 1, got {column_sums}")
@@ -460,8 +474,14 @@ def coin_values_from_mrs(mrs, coin_counts: Sequence[int]) -> list:
     The first row gives mrs[0][i] = p_1 / p_i = n_i / D for dyadic
     numerators n_i, so one coin of currency i is worth p_i / c_i, in
     proportion 1 / w_i with w_i = n_i c_i. The values are prod(w) / w_i.
+    For k = 2 with mrs[0][0] = 1 and m = mrs[0][1] = n / d, w = (d c_1, n c_2),
+    so the values are (n c_2, d c_1): the same integers, without the product.
     """
-    numerators, _ = dyadic_integers(mrs[0])
+    first = mrs[0]
+    if len(first) == len(coin_counts) == 2 and first[0] == 1.0:
+        n, d = float(first[1]).as_integer_ratio()
+        return [n * coin_counts[1], d * coin_counts[0]]
+    numerators, _ = dyadic_integers(first)
     weights = [n * c for n, c in zip(numerators, coin_counts)]
     product = math.prod(weights)
     return [product // w for w in weights]

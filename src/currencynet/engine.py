@@ -821,59 +821,63 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     # step shares it until the next join
     members_record = {cc.index: frozenset(cc.members) for cc in config.communities}
 
+    # the history starts from the initial network and indexes every member
+    # (agent, currency) key; held[c] is the coin count of keys[c], so each
+    # step records ``held`` as its balance row, and agent_of[c] is its agent
+    history = History(initial_network(config))
+    keys = history.keys
+    key_column = history.columns
+    agent_of = [a for a, _ in keys]
+
     def index_members():
-        # sorted members per currency, every agent, each agent's currencies,
-        # and the membership tuples that leave a choice
+        # sorted members per currency and their key columns, every agent,
+        # each agent's currencies, and the membership tuples that leave a choice
         agents = sorted(set().union(*members_record.values()))
         memberships = {a: tuple(i for i in currencies if a in members_record[i]) for a in agents}
+        member_tuple = {i: tuple(sorted(who)) for i, who in members_record.items()}
         return (
-            {i: tuple(sorted(who)) for i, who in members_record.items()},
+            member_tuple,
+            {i: tuple([key_column[(a, i)] for a in who]) for i, who in member_tuple.items()},
             agents,
             memberships,
             sorted({mine for mine in memberships.values() if len(mine) > 1}),
         )
 
-    member_tuple, agents, memberships, multi = index_members()
+    member_tuple, member_cols, agents, memberships, multi = index_members()
 
-    # the history starts from the initial network and indexes every member
-    # (agent, currency) key; held[c] is the coin count of keys[c], so each
-    # step records ``held`` as its balance row
-    history = History(initial_network(config))
-    keys = history.keys
-    key_column = history.columns
-
-    # each coin's owner is kept once: holder[i][s] is the agent holding coin
-    # s of currency i, so currency i's coins are the serials 0 ..
-    # len(holder[i]) - 1. A snapshot retains tuple(holder[i]) per currency,
-    # the same record the history starts from, and builds no network
+    # each coin's owner is kept once: holder[i][s] is the key column of the
+    # agent holding coin s of currency i, so currency i's coins are the
+    # serials 0 .. len(holder[i]) - 1. A snapshot retains the agents of
+    # holder[i] per currency, the record the history starts from
     holder = {i: [] for i in currencies}
     held = [0] * len(keys)
 
     # endogenous runs keep the market sums exactly: sums[j - 1][i - 1] is
     # S_ij = sum_a W_ai * balance(a, j), with each weight epoch's weights
-    # scaled to integers over one power of two (``scaled`` per agent), so
-    # the market matrix is M_ij = S_ij / (D c_j) in any order of agents
+    # scaled to integers over one power of two (``scaled`` per key column),
+    # so the market matrix is M_ij = S_ij / (D c_j) in any order of agents
     sums: Optional[list] = None
     columns = range(k)
 
-    def book(agent, i, sign):
-        # one coin of currency i more (sign 1) or less (-1) held by agent
+    def book(col, i, sign):
+        # one coin of currency i more (sign 1) or less (-1) held by key column col
         column = sums[i - 1]
-        row = scaled[agent]
+        row = scaled[col]
         for x in columns:
             column[x] += sign * row[x]
 
     def mint_plan(mints):
         # one coin per (agent, currency) pair: each coin's key column, each
-        # currency's minters in mint order (so they take the serials one
-        # append per coin would) and, with market sums, each sums increment
+        # currency's minters' columns in mint order (so they take the serials
+        # one append per coin would) and, with market sums, each sums increment
+        cols = tuple(map(key_column.__getitem__, mints))
         minters = {i: [] for i in currencies}
-        for agent, i in mints:
-            minters[i].append(agent)
+        for (_, i), c in zip(mints, cols):
+            minters[i].append(c)
         delta = None
         if sums is not None:
-            delta = [[sum(scaled[a][x] for a in who) for x in columns] for who in minters.values()]
-        return tuple(map(key_column.__getitem__, mints)), minters, delta
+            delta = [[sum(scaled[c][x] for c in who) for x in columns] for who in minters.values()]
+        return cols, minters, delta
 
     def mint(plan):
         # the one place coins are created; returns the key column of each coin
@@ -927,11 +931,11 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     snapshot_interval = config.snapshot_interval
 
     def move(i, serial, payer, payee):
-        # moved is the current step's: each moved coin's holder before its first move
+        # moved is the current step's: each moved coin's holder column before its first move
         moved.setdefault((i, serial), payer)
         holder[i][serial] = payee
-        held[key_column[(payer, i)]] -= 1
-        held[key_column[(payee, i)]] += 1
+        held[payer] -= 1
+        held[payee] += 1
         if sums is not None:
             book(payer, i, -1)
             book(payee, i, 1)
@@ -942,8 +946,10 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             members_record = dict(members_record)
             for agent, cur in config.joins[t]:
                 members_record[cur] = members_record[cur] | {agent}
-            held += [0] * len(history.extend_index(members_record))
-            member_tuple, agents, memberships, multi = index_members()
+            new = history.extend_index(members_record)
+            held += [0] * len(new)
+            agent_of += [a for a, _ in new]
+            member_tuple, member_cols, agents, memberships, multi = index_members()
             membership_epoch += 1
             plans = {}
         if reads_weights and (membership_epoch, t < t_fix) != epoch:
@@ -957,16 +963,17 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                 flat, denominator = dyadic_integers(
                     [w for a in agents for w in weight_rows[a]]
                 )
-                scaled = {a: flat[n * k:(n + 1) * k] for n, a in enumerate(agents)}
+                rows = {a: flat[n * k:(n + 1) * k] for n, a in enumerate(agents)}
+                scaled = [rows[a] for a, _ in keys]
                 plans = {}
                 sums = [[0] * k for _ in currencies]
-                for (a, j), n in zip(keys, held):
+                for (_, j), n, row in zip(keys, held, scaled):
                     if n:
                         column = sums[j - 1]
-                        for x, w in enumerate(scaled[a]):
+                        for x, w in enumerate(row):
                             column[x] += w * n
                 unvalued = [
-                    i for i in currencies if not any(row[i - 1] for row in scaled.values())
+                    i for i in currencies if not any(row[i - 1] for row in rows.values())
                 ]
             if settles:
                 # per currency, each agent's column into held (the trailing
@@ -1002,18 +1009,20 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
 
         # -- random trade noise (old coins only) ---------------------------
         if config.trade_noise:
-            candidates = [i for i in currencies if start_len[i] > 0]
+            candidates = [
+                (i, holder[i], start_len[i], member_cols[i], len(member_cols[i]))
+                for i in currencies if start_len[i] > 0
+            ]
             if candidates:
                 rnd = rng.random
                 n_candidates = len(candidates)
                 for _ in range(config.trade_noise):
-                    i = candidates[0] if n_candidates == 1 else candidates[
-                        int(rnd() * n_candidates)
-                    ]
-                    serial = int(rnd() * start_len[i])
-                    payer = holder[i][serial]
-                    group = member_tuple[i]
-                    payee = group[int(rnd() * len(group))]
+                    i, coins, n_old, group, size = candidates[0] if n_candidates == 1 else (
+                        candidates[int(rnd() * n_candidates)]
+                    )
+                    serial = int(rnd() * n_old)
+                    payer = coins[serial]
+                    payee = group[int(rnd() * size)]
                     if payer != payee:
                         move(i, serial, payer, payee)
 
@@ -1056,12 +1065,15 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                 padded = held + [0]
                 have = [list(map(padded.__getitem__, cols)) for cols in settle_cols]
                 shares = demand_columns(have, counts_now, settle_weights, prices)
-                for i, mine, share, coins in zip(currencies, have, shares, counts_now):
+                for i, cols, mine, share, coins in zip(
+                    currencies, settle_cols, have, shares, counts_now
+                ):
                     targets = largest_remainder_targets(share, coins)
                     if targets == mine:
                         continue  # nothing to move: no scan of the holders
+                    # the agents' columns label them, so the moves name columns
                     for serial, donor, recipient in settlement_moves(
-                        agents, mine, targets, holder[i]
+                        cols, mine, targets, holder[i]
                     ):
                         move(i, serial, donor, recipient)
 
@@ -1073,15 +1085,15 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             final = holder[i][serial]
             if final != origin:
                 if serial < start_len[i]:
-                    expenses.append(key_column[(origin, i)])
-                    revenue.append(key_column[(final, i)])
+                    expenses.append(origin)
+                    revenue.append(final)
                 else:
                     fresh_moved = True
         # fresh coins are income to their holders: their minters, unless
         # settlement moved one
-        income = [
-            key_column[(agent, i)] for i in currencies for agent in holder[i][start_len[i]:]
-        ] if fresh_moved else minted
+        income = minted
+        if fresh_moved:
+            income = [c for i in currencies for c in holder[i][start_len[i]:]]
 
         retain = (snapshot_interval > 0 and t % snapshot_interval == 0) or (
             t == config.steps and config.final_snapshot
@@ -1096,7 +1108,8 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                 income,
                 revenue,
                 expenses,
-                tuple(tuple(holder[i]) for i in currencies) if retain else None,
+                tuple(tuple(map(agent_of.__getitem__, holder[i])) for i in currencies)
+                if retain else None,
             )
         )
         rates_timeline.append(in_force)

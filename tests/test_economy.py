@@ -189,6 +189,48 @@ class TestSolveEquilibrium:
         with pytest.raises(ValueError, match="column 1 sums to nan, not 1"):
             market_equilibrium([[math.nan, 0.5], [0.5, 0.5]])
 
+    @pytest.mark.parametrize(
+        "endowment, weights, message",
+        [
+            # the solve used to return an allocation with a holding of -0.06
+            (
+                [[0.6, 0.5, 0.5], [0.6, 0.5, 0.5], [-0.2, 0.0, 0.0]],
+                [[0.3, 0.3, 0.4]] * 3,
+                r"endowment entry \(3, 1\) is negative: -0.2$",
+            ),
+            ([[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [1.25, -0.25]], r"weights entry \(2, 2\)"),
+            # the endowment is read first
+            ([[1.5, 0.5], [-0.5, 0.5]], [[1.25, -0.25], [0.5, 0.5]], r"endowment entry \(2, 1\)"),
+        ],
+    )
+    def test_negative_entries_rejected(self, endowment, weights, message):
+        with pytest.raises(ValueError, match=message):
+            solve_equilibrium(endowment, weights)
+
+    @pytest.mark.parametrize(
+        "market, entry",
+        [
+            # reducible by its tree integers: this used to be the error
+            ([[0.5, 0.5, 0.5], [0.75, 0.25, 0.5], [-0.25, 0.25, 0.0]], "(3, 1)"),
+            ([[-0.25, 0.5], [1.25, 0.5]], "(1, 1)"),
+            ([[0.5, -0.5], [0.5, 1.5]], "(1, 2)"),
+            ([[1.25, 0.5], [-0.25, 0.5]], "(2, 1)"),
+            ([[0.5, 1.5], [0.5, -0.5]], "(2, 2)"),
+            # negative and reducible: the negative entry is named first
+            ([[-0.25, 0.0], [1.25, 1.0]], "(1, 1)"),
+        ],
+    )
+    def test_negative_market_entries_rejected(self, market, entry):
+        with pytest.raises(ValueError) as info:
+            market_equilibrium(market)
+        assert str(info.value).startswith(f"market matrix entry {entry} is negative: -")
+
+    def test_given_tree_weights_skip_the_entry_scan(self):
+        # a caller with the tree integers has exact nonnegative sums behind them
+        market = [[0.5, 0.5, 0.5], [0.75, 0.25, 0.5], [-0.25, 0.25, 0.0]]
+        prices, _ = market_equilibrium(market, [1, 1, 2])
+        assert prices == (0.25, 0.25, 0.5)
+
 
 def general_path(market):
     """The float elimination for any k, with market_equilibrium's checks: the oracle for k = 2."""
@@ -199,6 +241,10 @@ def general_path(market):
             total += row[j]
         if not abs(total - 1.0) <= 1e-6:  # a NaN total fails too
             raise ValueError(f"market matrix column {j + 1} sums to {total}, not 1")
+    for r, row in enumerate(market, 1):
+        for j, m in enumerate(row, 1):
+            if m < 0.0:
+                raise ValueError(f"market matrix entry ({r}, {j}) is negative: {m!r}")
     if not strongly_connected([[m > 0.0 for m in row] for row in market]):
         raise DegenerateEconomyError("prices are indeterminate: the economy is reducible")
     prices = elimination_prices(market)
@@ -381,6 +427,24 @@ def assert_close_rates(ex, expected, tol=1e-12):
             assert abs(x - y) <= tol * y
 
 
+def dyadic_coin_values(row, counts) -> list:
+    """coin_values_from_mrs's general rule, in fractions: prod(w) // w_i, w_i = n_i c_i."""
+    ratios = [Fraction(x) for x in row]
+    denominator = max(r.denominator for r in ratios)
+    weights = [int(r * denominator) * c for r, c in zip(ratios, counts)]
+    product = math.prod(weights)
+    return [product // w for w in weights]
+
+
+def rate_bits(values):
+    """The bits of from_values(values).ex, or the message of its InvalidRatesError."""
+    try:
+        matrix = ExchangeRateMatrix.from_values(values)
+    except InvalidRatesError as exc:
+        return str(exc)
+    return [x.hex() for row in matrix.ex for x in row], matrix.ranking
+
+
 class TestRankedRates:
     """``ExchangeRateMatrix.from_values``: the one rule a run builds its rates by."""
 
@@ -423,6 +487,27 @@ class TestRankedRates:
         spot = data.draw(st.integers(0, k - 1))
         with pytest.raises(InvalidRatesError):
             ExchangeRateMatrix.from_values(values[:spot] + [bad] + values[spot + 1:])
+
+    @given(st.floats(5e-324, 1e300), st.integers(1, 10**6), st.integers(1, 10**6))
+    @example(5e-324, 1, 10**6)
+    @example(1e300, 10**6, 1)
+    @example(0.3, 3, 10)
+    def test_pair_values_are_the_general_rule(self, m, c1, c2):
+        values = coin_values_from_mrs(((1.0, m), (1.0 / m, 1.0)), [c1, c2])
+        assert values == dyadic_coin_values((1.0, m), [c1, c2])
+        assert rate_bits(values) == rate_bits(dyadic_coin_values((1.0, m), [c1, c2]))
+
+    @given(
+        st.floats(0.01, 100.0).filter(lambda x: x != 1.0),
+        st.floats(0.01, 100.0),
+        st.integers(1, 10**6),
+        st.integers(1, 10**6),
+    )
+    @example(2.0, 0.75, 3, 5)
+    def test_a_pair_row_not_led_by_one_takes_the_general_rule(self, first, m, c1, c2):
+        assert coin_values_from_mrs(((first, m), (1.0, 1.0)), [c1, c2]) == dyadic_coin_values(
+            (first, m), [c1, c2]
+        )
 
     @pytest.mark.parametrize("values", [(1, 2.0), (1, None), (1, 2**1100)])
     def test_values_that_make_no_float_rates_rejected(self, values):

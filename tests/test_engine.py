@@ -377,6 +377,65 @@ class TestMintPlans:
         assert vars(engine)["largest_remainder_targets"] is economy.largest_remainder_targets
 
 
+class TestKeyColumnCorners:
+    """Runs whose holders, kept as key columns, take the rarer paths; each is
+    replayed by the reference layer, which names agents throughout."""
+
+    @staticmethod
+    def joining_payee(**overrides):
+        """a, sorting before every founder, joins 1 at step 3 and is paid by the noise at once."""
+        base = dict(
+            name="joining_payee",
+            communities=(
+                CommunityConfig(1, ("b", "c"), {"b": 2, "c": 2}),
+                CommunityConfig(2, ("c", "d"), {"c": 1, "d": 1}),
+            ),
+            steps=6,
+            seed=0,
+            regime="joint_myopic",
+            joins={3: (("a", 1),)},
+            rates=RatesConfig(mode="exogenous", mrs12=MrsSchedule(kind="constant", value=1.0)),
+            trade_noise=4,
+            snapshot_interval=1,
+        )
+        base.update(overrides)
+        return ScenarioConfig(**base)
+
+    def test_a_joiner_is_a_noise_payee_at_its_join_step(self):
+        config = self.joining_payee()
+        history = run_scenario(config).history
+        assert history.columns[("a", 1)] in history.steps[3].revenue_cols
+        replay(config)
+
+    def test_settlement_hands_over_a_fresh_coin(self):
+        # a values only currency 2, so at step 1 it settles the coin of 1 it
+        # has just minted to b: income follows the holder, not the minter
+        config = ScenarioConfig(
+            name="fresh_settled",
+            communities=(CommunityConfig(1, ("a", "b")), CommunityConfig(2, ("a", "b"), {"b": 2})),
+            steps=3,
+            seed=0,
+            regime="joint_fixed:1",
+            rates=RatesConfig(mode="endogenous"),
+            settlement=True,
+            preferences={"a": {1: 0.0, 2: 1.0}},
+            snapshot_interval=1,
+        )
+        step = run_scenario(config).history.steps[1]
+        assert sorted(step.income_cols) != sorted(step.minted_cols)
+        assert step.holders[0] == ("b", "b")
+        replay(config)
+
+    def test_snapshots_name_holders_whose_columns_are_out_of_name_order(self):
+        config = self.joining_payee(joins={3: (("a", 1),), 4: (("b", 2),)}, join_grant=1)
+        history = run_scenario(config).history
+        keys = history.keys
+        assert keys[-2:] == [("a", 1), ("b", 2)] and keys != sorted(keys)
+        final = history.steps[-1].holders
+        assert "a" in final[0] and "b" in final[1]
+        replay(config)
+
+
 class TestSettlement:
     def endo_config(self, settlement, k_eq=5):
         return ScenarioConfig(
