@@ -474,8 +474,7 @@ def coin_values_from_mrs(mrs, coin_counts: Sequence[int]) -> list:
     The first row gives mrs[0][i] = p_1 / p_i = n_i / D for dyadic
     numerators n_i, so one coin of currency i is worth p_i / c_i, in
     proportion 1 / w_i with w_i = n_i c_i. The values are prod(w) / w_i.
-    For k = 2 with mrs[0][0] = 1 and m = mrs[0][1] = n / d, w = (d c_1, n c_2),
-    so the values are (n c_2, d c_1): the same integers, without the product.
+    For k = 2, a first row (1, m) with m = n / d gives w = (d c_1, n c_2), so (n c_2, d c_1).
     """
     first = mrs[0]
     if len(first) == len(coin_counts) == 2 and first[0] == 1.0:

@@ -19,6 +19,7 @@ import json
 import math
 import random
 from itertools import accumulate
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
@@ -829,6 +830,10 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     key_column = history.columns
     agent_of = [a for a, _ in keys]
 
+    def agents_of(cols):
+        # itemgetter reads many columns in one call, but returns a tuple only for two or more
+        return itemgetter(*cols)(agent_of) if len(cols) > 1 else tuple([agent_of[c] for c in cols])
+
     def index_members():
         # sorted members per currency and their key columns, every agent,
         # each agent's currencies, and the membership tuples that leave a choice
@@ -1065,15 +1070,13 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                 padded = held + [0]
                 have = [list(map(padded.__getitem__, cols)) for cols in settle_cols]
                 shares = demand_columns(have, counts_now, settle_weights, prices)
-                for i, cols, mine, share, coins in zip(
-                    currencies, settle_cols, have, shares, counts_now
-                ):
+                for i, mine, share, coins in zip(currencies, have, shares, counts_now):
                     targets = largest_remainder_targets(share, coins)
                     if targets == mine:
                         continue  # nothing to move: no scan of the holders
                     # the agents' columns label them, so the moves name columns
                     for serial, donor, recipient in settlement_moves(
-                        cols, mine, targets, holder[i]
+                        settle_cols[i - 1], mine, targets, holder[i]
                     ):
                         move(i, serial, donor, recipient)
 
@@ -1108,8 +1111,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
                 income,
                 revenue,
                 expenses,
-                tuple(tuple(map(agent_of.__getitem__, holder[i])) for i in currencies)
-                if retain else None,
+                tuple(map(agents_of, holder.values())) if retain else None,
             )
         )
         rates_timeline.append(in_force)
