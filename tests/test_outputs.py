@@ -495,8 +495,8 @@ def noisy_joining_chain():
     """Three chained communities under one exogenous mrs_matrix, with trade noise.
 
     At mid-run a newcomer that sorts before every founder joins 2 and 3, and a
-    founder of 1 joins 3, so their keys enter the index after the founders'
-    and the join grant hands them coins that the noise can move at once.
+    founder of 1 joins 3, so their keys enter the index after the founders';
+    in the steps after the join the noise pays the joiners and moves their grants.
     """
     rng = random.Random(3)
     names = [f"c{n:02d}" for n in range(18)]
